@@ -25,6 +25,30 @@ _HEADER = struct.Struct("<QI")
 RECORD_OVERHEAD = _HEADER.size
 
 
+def split_record(raw: "bytes | memoryview") -> tuple[int, int, memoryview]:
+    """Parse wire bytes into ``(seq, block_crc, frame)`` without copying.
+
+    ``frame`` is a view of ``raw`` — the replica decodes straight from the
+    received bytes instead of slicing the frame out first.
+    """
+    if len(raw) < RECORD_OVERHEAD:
+        raise ReplicationError(
+            f"replication record too short ({len(raw)} bytes)"
+        )
+    seq, crc = _HEADER.unpack_from(raw, 0)
+    return seq, crc, memoryview(raw)[RECORD_OVERHEAD:]
+
+
+def verify_block_crc(new_block, block_crc: int, seq: int) -> None:
+    """Raise unless ``new_block`` has the CRC a record carried end to end."""
+    actual = zlib.crc32(new_block)
+    if actual != block_crc:
+        raise ReplicationError(
+            f"applied block CRC {actual:#010x} does not match "
+            f"record CRC {block_crc:#010x} (seq {seq})"
+        )
+
+
 @dataclass(frozen=True)
 class ReplicationRecord:
     """One replicated write, ready for (or parsed from) the wire."""
@@ -59,12 +83,8 @@ class ReplicationRecord:
     @classmethod
     def unpack(cls, raw: bytes) -> "ReplicationRecord":
         """Parse wire bytes back into a record."""
-        if len(raw) < _HEADER.size:
-            raise ReplicationError(
-                f"replication record too short ({len(raw)} bytes)"
-            )
-        seq, crc = _HEADER.unpack_from(raw, 0)
-        return cls(seq=seq, block_crc=crc, frame=raw[_HEADER.size :])
+        seq, crc, frame = split_record(raw)
+        return cls(seq=seq, block_crc=crc, frame=bytes(frame))
 
     @classmethod
     def for_block(cls, seq: int, new_block: bytes, frame: bytes) -> "ReplicationRecord":
@@ -73,9 +93,4 @@ class ReplicationRecord:
 
     def verify(self, new_block: bytes) -> None:
         """Raise unless ``new_block`` matches the CRC carried in the record."""
-        actual = zlib.crc32(new_block)
-        if actual != self.block_crc:
-            raise ReplicationError(
-                f"applied block CRC {actual:#010x} does not match "
-                f"record CRC {self.block_crc:#010x} (seq {self.seq})"
-            )
+        verify_block_crc(new_block, self.block_crc, self.seq)

@@ -265,6 +265,7 @@ class PrimaryEngine(BlockDevice):
             )
         self._fanout = fanout
         self._scheduler: FanoutScheduler | None = None
+        self._router: ReadRouter | None = None
         for link in links or []:
             self.add_link(link)
         if fanout == "pipelined":
@@ -290,9 +291,8 @@ class PrimaryEngine(BlockDevice):
         # Conflict-aware read routing: "primary" (default) keeps the
         # historical read path bit-for-bit; any other policy installs a
         # ReadRouter that serves conflict-free reads from replicas.
-        self._router = (
-            ReadRouter(self, read_policy) if read_policy != "primary" else None
-        )
+        if read_policy != "primary":
+            self._router = ReadRouter(self, read_policy)
 
     @property
     def device(self) -> BlockDevice:
@@ -365,20 +365,22 @@ class PrimaryEngine(BlockDevice):
         """The read-routing policy in force."""
         return self._router.policy if self._router is not None else "primary"
 
-    def lba_in_flight(self, lba: int, index: int) -> bool:
-        """True when ``lba`` has unshipped/unacked replication toward ``index``.
+    def clean_replicas(self, lba: int, indices: list[int]) -> list[int]:
+        """Those of ``indices`` with no unshipped/unacked replication of ``lba``.
 
-        Covers both conflict sources the router must respect: a payload
-        still buffered in the batch window (shipped to *no* replica yet)
-        and a scheduler submission not yet acked by channel ``index``.
-        Sequential unbatched engines ship synchronously inside
-        ``write_block``, so nothing is ever in flight between calls.
+        The read router's per-read question, answered under one
+        acquisition of the scheduler's lock.  Covers both conflict
+        sources: a payload still buffered in the batch window (shipped to
+        *no* replica yet) and a scheduler submission a channel has not
+        yet acked.  Sequential unbatched engines ship synchronously
+        inside ``write_block``, so nothing is ever in flight between
+        calls.
         """
         if self._batcher is not None and self._batcher.is_pending(lba):
-            return True
+            return []
         if self._scheduler is not None:
-            return self._scheduler.lba_in_flight(lba, index)
-        return False
+            return self._scheduler.clean_channels(lba, indices)
+        return indices
 
     def add_link(self, link: ReplicaLink) -> None:
         """Attach another replica channel."""
@@ -400,6 +402,10 @@ class PrimaryEngine(BlockDevice):
                 self._scheduler.add_channel(guard=self._guards[-1])
             else:
                 self._scheduler.add_channel(link=link)
+        if self._router is not None:
+            self._router.add_link(
+                link, self._guards[-1] if self._guards is not None else None
+            )
 
     # -- health & recovery (fault-tolerant engines) ---------------------------
 

@@ -19,9 +19,14 @@ import struct
 
 from repro.block.device import BlockDevice
 from repro.engine.batch import ShipBatch, pack_batch_ack
-from repro.engine.messages import ReplicationRecord
+from repro.engine.messages import (
+    ReplicationRecord,
+    split_record,
+    verify_block_crc,
+)
 from repro.engine.strategy import ReplicationStrategy
 from repro.obs.telemetry import get_telemetry
+from repro.obs.tracing import NULL_SPAN
 
 _ACK = struct.Struct("<QB")
 
@@ -44,6 +49,9 @@ class ReplicaEngine:
         self._device = device
         self._strategy = strategy
         self._applied_seq: dict[int, int] = {}  # lba -> highest applied seq
+        # scratch blocks between applies; pop/append are atomic, so applies
+        # racing on several session threads each hold a block of their own
+        self._scratch: list[bytearray] = []
         self.records_applied = 0
         self.records_duplicate = 0
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
@@ -73,35 +81,54 @@ class ReplicaEngine:
         has no local span open, stitching the replica's work into the
         originating write's trace.
         """
-        return self.apply_record(lba, ReplicationRecord.unpack(raw_record), ctx=ctx)
+        seq, block_crc, frame = split_record(raw_record)
+        return self._apply(lba, seq, block_crc, frame, ctx)
 
     def apply_record(self, lba: int, record: ReplicationRecord, ctx=None) -> bytes:
         """Apply one parsed record idempotently; returns the packed ack.
 
-        The core of :meth:`receive`, split out so the batch path can apply
-        the records :class:`~repro.engine.batch.ShipBatch.unpack` already
-        parsed without a per-record pack/unpack round trip.
+        The batch path's entry: it applies the records
+        :class:`~repro.engine.batch.ShipBatch.unpack` already parsed
+        without a per-record pack/unpack round trip.
+        """
+        return self._apply(lba, record.seq, record.block_crc, record.frame, ctx)
+
+    def _apply(self, lba: int, seq: int, block_crc: int, frame, ctx) -> bytes:
+        """The idempotent apply behind :meth:`receive` and :meth:`apply_record`.
+
+        ``frame`` may be a view of the received bytes: it is decoded in
+        place into the scratch block and never retained.
         """
         tel = self.telemetry
-        with tel.span_in("replica.apply", ctx, lba=lba) as span:
-            if self._applied_seq.get(lba, -1) >= record.seq:
+        live = tel.enabled
+        span = tel.span_in("replica.apply", ctx, lba=lba) if live else NULL_SPAN
+        with span:
+            if self._applied_seq.get(lba, -1) >= seq:
                 self.records_duplicate += 1
                 span.set("duplicate", True)
-                return _ACK.pack(record.seq, ACK_DUPLICATE)
+                return _ACK.pack(seq, ACK_DUPLICATE)
             # Zero-copy apply: one scratch block holds A_old (when the
             # strategy needs it), the strategy scatters/XORs the decoded
             # frame into it in place, and the same buffer is verified and
             # written back — no decoded-delta or new-block intermediates.
-            block = bytearray(self._device.block_size)
-            if self._strategy.needs_old_data:
-                self._device.read_block_into(lba, block)
-            with tel.fine_span("replica.decode"):
-                self._strategy.apply_update_into(record.frame, block)
-            record.verify(block)
-            self._device.write_block_from(lba, block)
-            self._applied_seq[lba] = record.seq
+            # The block is reused between applies: every path overwrites
+            # it in full, so it is never zeroed.
+            try:
+                block = self._scratch.pop()
+            except IndexError:
+                block = bytearray(self._device.block_size)
+            try:
+                if self._strategy.needs_old_data:
+                    self._device.read_block_into(lba, block)
+                with tel.fine_span("replica.decode") if live else NULL_SPAN:
+                    self._strategy.apply_update_into(frame, block)
+                verify_block_crc(block, block_crc, seq)
+                self._device.write_block_from(lba, block)
+            finally:
+                self._scratch.append(block)
+            self._applied_seq[lba] = seq
             self.records_applied += 1
-            return _ACK.pack(record.seq, ACK_APPLIED)
+            return _ACK.pack(seq, ACK_APPLIED)
 
     def receive_batch(self, raw_batch: bytes, ctx=None) -> bytes:
         """Unbatch and apply a multi-segment batch; returns the batch ack.

@@ -27,15 +27,19 @@ Erasure engines route the same way per *fragment holder*: a block is
 reassembled from any ``k`` conflict-free healthy holders, with the
 starting holder rotated per read so load spreads across all ``n``.
 
-Linearizability argument (see DESIGN.md): the dirty mark is taken
-under the scheduler's resolve lock *before* the write can reach any
-wire and cleared only *after* the replica acked the apply.  A routed
-read that misses the mark therefore started after the ack — it
-observes the new bytes on the replica exactly as it would have on the
-primary.  A read that sees the mark is served by the primary, which
-already holds the new bytes.  Either way the read returns the value of
-the latest completed write — the same answer ``read_policy="primary"``
-gives.
+Linearizability argument (see DESIGN.md §5g): whenever a submission is
+not resolved by the time the scheduler lets go of its lock — a metered
+ack still on the event heap, a threaded worker still sending — the
+dirty mark was taken under that lock *before* the write could reach
+any wire, and it is cleared only *after* the replica acked the apply.
+A send that returns the verified ack (the inline backend at zero
+latency) is marked and cleared inside one hold of the lock, which no
+read can observe, so it leaves no mark at all.  A routed read that
+finds no mark therefore runs after the ack — it observes the new
+bytes on the replica exactly as it would have on the primary.  A read
+that sees a mark is served by the primary, which already holds the new
+bytes.  Either way the read returns the value of the latest completed
+write — the same answer ``read_policy="primary"`` gives.
 """
 
 from __future__ import annotations
@@ -85,32 +89,51 @@ class ReadRouter:
         self.reads_conflict = 0
         tel = engine.telemetry
         self._tel = tel
+        self._live = tel.enabled
         self._primary_counter = tel.counter("router.reads_primary")
         self._replica_counter = tel.counter("router.reads_replica")
         self._conflict_counter = tel.counter("router.reads_conflict")
+        # per link, resolved once: its readable device (None for a link
+        # that crosses a real network) and its guard (strict: no guards)
+        self._devices: list[BlockDevice | None] = []
+        self._guards: list = []
+        #: replicas with a readable device — all a strict engine ever checks
+        self._readable: list[int] = []
+        guards = engine.guards
+        for index, link in enumerate(engine.links):
+            self.add_link(link, guards[index] if guards else None)
+
+    def add_link(self, link, guard=None) -> None:
+        """Register one more replica: resolve its device (and guard) once."""
+        device = link.sync_device()
+        if device is not None:
+            self._readable.append(len(self._devices))
+        self._devices.append(device)
+        if guard is not None:
+            self._guards.append(guard)
 
     # -- eligibility ---------------------------------------------------------
 
-    def _healthy(self, index: int) -> bool:
-        """True when replica ``index`` is up to date (modulo in-flight work).
+    def _healthy(self) -> list[int]:
+        """Readable replicas that are up to date (modulo in-flight work).
 
         A guard in any non-HEALTHY state, holding backlog, or needing a
         resync has records the replica never saw — its whole image is
         suspect, not just single LBAs.
         """
-        engine = self._engine
-        guards = engine.guards
-        if guards:
-            guard = guards[index]
-            if guard.health is not LinkHealth.HEALTHY:
-                return False
-            if guard.backlog_depth or guard.needs_resync:
-                return False
-        return True
-
-    def _device_of(self, index: int) -> BlockDevice | None:
-        """The replica's readable device, or None (unroutable transport)."""
-        return self._engine.links[index].sync_device()
+        guards = self._guards
+        if not guards:
+            return self._readable
+        healthy = []
+        for j in self._readable:
+            guard = guards[j]
+            if (
+                guard.health is LinkHealth.HEALTHY
+                and not guard.backlog_depth
+                and not guard.needs_resync
+            ):
+                healthy.append(j)
+        return healthy
 
     def _channel_load(self, index: int) -> int:
         """In-flight + queued submissions on channel ``index`` (0 if none)."""
@@ -124,6 +147,8 @@ class ReadRouter:
 
     def read(self, lba: int) -> bytes:
         """Serve one read, preferring a conflict-free healthy replica."""
+        if not self._live:
+            return self._route(lba)[0]
         with self._tel.span("read.route", lba=lba, policy=self.policy) as span:
             data, route = self._route(lba)
             span.set("route", route)
@@ -131,67 +156,43 @@ class ReadRouter:
 
     def _route(self, lba: int) -> tuple[bytes, str]:
         engine = self._engine
-        if engine.stripe_codec is not None:
-            return self._route_striped(lba)
-        healthy = [
-            j
-            for j in range(len(engine.links))
-            if self._healthy(j) and self._device_of(j) is not None
-        ]
-        eligible = [j for j in healthy if not engine.lba_in_flight(lba, j)]
-        if not eligible:
-            if healthy:
-                # a healthy replica existed but the LBA is in flight on
-                # all of them (or still buffered in the batch window)
+        codec = engine.stripe_codec
+        needed = 1 if codec is None else codec.k
+        healthy = self._healthy()
+        eligible = engine.clean_replicas(lba, healthy)
+        if len(eligible) < needed:
+            if len(healthy) >= needed:
+                # enough healthy replicas existed but the LBA is in flight
+                # on them (or still buffered in the batch window)
                 self.reads_conflict += 1
                 self._conflict_counter.inc()
             self.reads_primary += 1
             self._primary_counter.inc()
             return engine.device.read_block(lba), "primary"
-        index = self._pick(eligible)
-        device = self._device_of(index)
-        assert device is not None
         self.reads_replica += 1
         self._replica_counter.inc()
-        return device.read_block(lba), f"replica:{index}"
-
-    def _route_striped(self, lba: int) -> tuple[bytes, str]:
-        """Reassemble from any ``k`` conflict-free healthy holders."""
-        engine = self._engine
-        codec = engine.stripe_codec
-        assert codec is not None
-        healthy = [
-            j
-            for j in range(len(engine.links))
-            if self._healthy(j) and self._device_of(j) is not None
-        ]
-        eligible = [j for j in healthy if not engine.lba_in_flight(lba, j)]
-        if len(eligible) < codec.k:
-            if len(healthy) >= codec.k:
-                self.reads_conflict += 1
-                self._conflict_counter.inc()
-            self.reads_primary += 1
-            self._primary_counter.inc()
-            return engine.device.read_block(lba), "primary"
-        # rotate the starting holder so fragment load spreads over all n
+        devices = self._devices
+        if codec is None:
+            index = self._pick(eligible)
+            route = f"replica:{index}" if self._live else ""
+            return devices[index].read_block(lba), route
+        # reassemble from any k conflict-free healthy holders, rotating the
+        # starting holder so fragment load spreads over all n
         start = self._rr % len(eligible)
         self._rr += 1
         chosen = [eligible[(start + i) % len(eligible)] for i in range(codec.k)]
-        fragments: dict[int, bytes] = {}
-        for j in chosen:
-            device = self._device_of(j)
-            assert device is not None
-            fragments[j] = device.read_block(lba)
-        self.reads_replica += 1
-        self._replica_counter.inc()
-        route = "holders:" + ",".join(str(j) for j in sorted(chosen))
+        fragments = {j: devices[j].read_block(lba) for j in chosen}
+        route = ""
+        if self._live:
+            route = "holders:" + ",".join(str(j) for j in sorted(chosen))
         return codec.reassemble(fragments), route
 
     def _pick(self, eligible: list[int]) -> int:
         """Select one replica from the eligible set per the policy."""
         if self.policy == "least_loaded":
-            best = min(self._channel_load(j) for j in eligible)
-            eligible = [j for j in eligible if self._channel_load(j) == best]
+            loads = [self._channel_load(j) for j in eligible]
+            best = min(loads)
+            eligible = [j for j, load in zip(eligible, loads) if load == best]
         index = eligible[self._rr % len(eligible)]
         self._rr += 1
         return index

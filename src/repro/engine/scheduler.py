@@ -1,47 +1,53 @@
-"""Pipelined, credit-based fan-out scheduling for the primary→replica path.
+"""Credit-windowed fan-out scheduling for the primary→replica path.
 
 The sequential fan-out in :class:`~repro.engine.primary.PrimaryEngine`
 ships each write to every replica in turn and waits for each ack before
-touching the next link, so wall-clock ship time grows *linearly* with
-replica count — the scaling wall the ROADMAP's "millions of users"
-north-star calls out.  :class:`FanoutScheduler` breaks it the way
-windowed replication protocols do:
+touching the next link, so ship time grows *linearly* with replica count
+and with link latency.  :class:`FanoutScheduler` is the windowed
+alternative: every replica gets a :class:`ReplicaChannel` with a bounded
+**in-flight window** (``window`` credits), per-channel FIFO send order
+(parity deltas must apply in primary order), out-of-order acks folded by
+**cumulative-ack compaction** (a dense per-channel ticket sequence, an
+``acked_through`` pointer, a bounded out-of-order set), and independent
+degradation — a guarded channel whose
+:class:`~repro.engine.resilience.GuardedLink` journals a submission
+resolves at once, so healthy replicas never wait behind a dead one.
 
-* every replica gets its own :class:`ReplicaChannel` with a bounded
-  **in-flight window** (``window`` credits).  Submissions are sent the
-  moment a credit is free and queue FIFO behind the window otherwise —
-  per-channel FIFO send order preserves the PRINS invariant that parity
-  deltas apply in primary order;
-* acks may complete **out of order** across (and, with jittered
-  latencies, within) channels.  Each channel tracks them with
-  **cumulative-ack compaction**: a dense per-channel ticket sequence, a
-  ``acked_through`` cumulative pointer, and a bounded out-of-order set
-  that drains into the pointer as gaps close;
-* **credits are the backpressure**: a full window stalls that channel's
-  queue (sim mode) or blocks the producer on that channel's bounded
-  queue (thread mode), and the stall is metered (``sched.stall_ns``);
-* a slow or DOWN replica **degrades independently**: a guarded channel
-  whose :class:`~repro.engine.resilience.GuardedLink` journals a
-  submission resolves immediately without consuming window latency, so
-  healthy replicas never wait behind a dead one.
+What a "send" is depends on the backend, and only one of them overlaps
+anything on a real link:
 
-Two execution modes, one semantics:
+* ``workers="inline"`` (default) — one thread.  A send is a **blocking
+  round trip**: ``link.submit`` returns the replica's verified ack (over
+  a real ``InitiatorLink`` as much as over a ``DirectLink``), in
+  submission order, so replica images and byte accounting are
+  bit-identical to sequential fan-out.  What happens next is selected by
+  the channel's own configured latency:
 
-* ``workers="inline"`` (default) — deterministic, event-driven, on a
-  :class:`repro.sim.core.Simulator`.  The *send* happens synchronously
-  in submission order (so replica images and byte accounting are
-  bit-identical to sequential fan-out); only the **ack** is delayed by
-  the channel's (optionally jittered) latency.  After :meth:`drain`,
-  :attr:`FanoutScheduler.now` is the simulated makespan — with ``n``
-  submissions and window ``w`` per channel it is ``ceil(n/w) × latency``
-  per channel, overlapped across channels, versus the sequential
-  ``n × Σ latency``;
+  - ``latency_s == 0`` (every stack ``open_primary`` builds unless a
+    latency is asked for): there is nothing left to wait for.  **The ack
+    resolves at send** — the ticket compacts, the ack is counted, and the
+    submission's charge fires before ``submit`` returns.  No credit is
+    held, nothing queues behind the window, nothing is marked dirty, and
+    the event heap is never touched: the inline backend at zero latency
+    *is* sequential fan-out, at sequential fan-out's cost.
+  - ``latency_s > 0`` (``LatencyLink``/``SimClock`` makespan tests,
+    ``scripts/bench_scheduler.py``): the send has happened, but its ack
+    is **metered** — an event on a :class:`repro.sim.core.Simulator`
+    heap, ``latency_s`` (optionally jittered) in the simulated future.
+    Until it fires the channel holds a credit and the submission's LBAs
+    stay dirty; submissions beyond the window queue FIFO; a full
+    ``max_queue`` stalls the producer by stepping the heap.  After
+    :meth:`drain`, :attr:`FanoutScheduler.now` is the simulated makespan
+    — ``ceil(n/w) × latency`` per channel, overlapped across channels,
+    versus the sequential ``n × Σ latency``.  The event heap exists for
+    this metering only.
+
 * ``workers="threads"`` (and ``"process"``, which additionally offloads
-  codec kernels to worker processes upstream) — one worker per channel
-  on a real
-  :class:`concurrent.futures.ThreadPoolExecutor`, for wall-clock wins
-  over :class:`~repro.engine.links.InitiatorLink`/TCP transports.  Each
-  channel's bounded queue is its credit window; accounting-touching
+  codec kernels to worker processes upstream) — one worker per channel on
+  a real :class:`concurrent.futures.ThreadPoolExecutor`, so round trips
+  to different replicas overlap in wall-clock time.  Each channel's
+  bounded queue is its credit window (a full one blocks the producer, and
+  the stall is metered as ``sched.stall_ns``); accounting-touching
   operations serialize on one resolve lock so the
   :class:`~repro.engine.accounting.TrafficAccountant` conservation laws
   hold unchanged.
@@ -72,6 +78,7 @@ from repro.common.rng import make_rng
 from repro.engine.links import ReplicaLink, _warn_deprecated
 from repro.engine.work import ShipWork
 from repro.obs.telemetry import NULL_TELEMETRY
+from repro.obs.tracing import NULL_SPAN
 from repro.sim.core import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,15 +108,16 @@ WORKER_BACKENDS = ("inline", "threads", "process")
 class SchedulerConfig:
     """Tunables for a pipelined fan-out scheduler.
 
-    ``workers`` picks the concurrency backend: ``"inline"`` (the
-    deterministic event-driven simulation — the default), ``"threads"``
+    ``workers`` picks the concurrency backend: ``"inline"`` (one thread,
+    each send a blocking round trip — the default), ``"threads"``
     (one real worker thread per channel, overlapping link I/O), or
     ``"process"`` (thread-per-channel link I/O *plus* codec kernels
     offloaded to a :class:`~repro.engine.workers.CodecWorkerPool` of
     ``worker_count`` processes fed through ``ring_slots``-deep
     shared-memory rings).  ``window`` is the per-replica credit budget
     (max in-flight submissions).  ``link_latency_s`` is the simulated
-    send→ack latency every channel charges in inline mode;
+    send→ack latency every channel meters in inline mode (0, the
+    default, resolves each ack at its send and meters nothing);
     ``per_link_latency_s`` overrides it per channel index.
     ``latency_jitter`` scales each ack's latency by a factor drawn
     uniformly from ``[1 - jitter, 1]`` using a seeded generator, so
@@ -423,8 +431,17 @@ class ReplicaChannel:
     # -- sim mode ------------------------------------------------------------
 
     def enqueue_sim(self, state: _WorkState) -> None:
-        """Accept one submission: send now if a credit is free, else queue."""
+        """Accept one submission: send now if a credit is free, else queue.
+
+        A channel with no latency to meter never queues: its send is a
+        blocking round trip that resolves before it returns, so it holds
+        no credit and marks nothing dirty.
+        """
+        if not self.latency_s:
+            self._send_sim(state)
+            return
         sched = self._sched
+        self.mark_dirty(state.lbas)
         if self.credits > 0 and not self._fifo:
             self._send_sim(state)
             return
@@ -436,25 +453,33 @@ class ReplicaChannel:
         self._fifo.append((state, sched.sim.now))
 
     def _send_sim(self, state: _WorkState) -> None:
-        """Put one submission on the wire and schedule (or skip) its ack."""
+        """Put one submission on the wire; resolve it now or at its ack event."""
         sched = self._sched
-        self.stats.sends += 1
+        stats = self.stats
+        stats.sends += 1
         outcome = self._perform(state)
-        if outcome == "delivered":
+        ticket = self._next_ticket
+        self._next_ticket = ticket + 1
+        metered = bool(self.latency_s)
+        if metered and outcome == "delivered":
+            # the credit is held until the simulated ack fires on the heap
             self.credits -= 1
-            self.stats.max_inflight = max(self.stats.max_inflight, self.inflight)
+            if self.inflight > stats.max_inflight:
+                stats.max_inflight = self.inflight
             sched.update_inflight()
-            ticket = self._next_ticket
-            self._next_ticket += 1
             sched.sim.schedule(
-                self._draw_latency(),
-                lambda: self._on_ack_sim(ticket, state),
+                self._draw_latency(), self._on_ack_sim, ticket, state
             )
-        else:
-            # journaled/failed: no wire latency, the channel resolves now
-            self._next_ticket += 1
-            self._compact(self._next_ticket - 1)
-            sched.resolve(state, self.index, outcome)
+            return
+        # The round trip left nothing to wait for: the verified ack is in
+        # hand (no latency to meter), or the submission was journaled or
+        # its failure stashed — neither of which has wire latency.
+        if outcome == "delivered":
+            stats.acks += 1
+        if metered:
+            self.clear_dirty(state.lbas)
+        self._compact(ticket)
+        sched.settle(state, self.index, outcome)
 
     def _pump_sim(self) -> None:
         """Send queued submissions while window credits are free.
@@ -473,12 +498,13 @@ class ReplicaChannel:
             self._send_sim(state)
 
     def _on_ack_sim(self, ticket: int, state: _WorkState) -> None:
-        """An ack arrived: compact, free the credit, pump the queue."""
+        """A metered ack arrived: compact, free the credit, pump the queue."""
         self.stats.acks += 1
         self._compact(ticket)
         self.credits += 1
         self._sched.update_inflight()
-        self._sched.resolve(state, self.index, "delivered")
+        self.clear_dirty(state.lbas)
+        self._sched.settle(state, self.index, "delivered")
         self._pump_sim()
 
     def _draw_latency(self) -> float:
@@ -554,16 +580,22 @@ class ReplicaChannel:
         submission's causal context, so cross-channel fan-out shows up as
         sibling sends under the originating write when tracing is on.
         """
+        sched = self._sched
         work = state.work
-        with self._sched.telemetry.span_in(
-            "sched.send", work.ctx, link=self.index, seq=work.last_seq
-        ) as span:
+        span = (
+            sched.telemetry.span_in(
+                "sched.send", work.ctx, link=self.index, seq=work.last_seq
+            )
+            if sched.metered
+            else NULL_SPAN
+        )
+        with span:
             if self.guard is not None:
                 if locked:
-                    with self._sched.resolve_lock:
-                        ok = self.guard.submit(work, self._sched.verify_acks)
+                    with sched.resolve_lock:
+                        ok = self.guard.submit(work, sched.verify_acks)
                 else:
-                    ok = self.guard.submit(work, self._sched.verify_acks)
+                    ok = self.guard.submit(work, sched.verify_acks)
                 if ok:
                     return "delivered"
                 self.stats.journaled += 1
@@ -572,12 +604,12 @@ class ReplicaChannel:
             assert self.link is not None
             try:
                 ack = self.link.submit(work)
-                if self._sched.verify_acks:
+                if sched.verify_acks:
                     work.verify_ack(ack)
             except Exception as exc:  # noqa: BLE001 — stashed, surfaced at drain
                 self.stats.failures += 1
                 span.set("failed", type(exc).__name__)
-                with self._sched.resolve_lock:
+                with sched.resolve_lock:
                     if state.failure is None:
                         state.failure = exc
                         state.failed_index = self.index
@@ -612,6 +644,8 @@ class FanoutScheduler:
         self.config = config if config is not None else SchedulerConfig()
         self.verify_acks = verify_acks
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        #: spans and instruments are touched only when telemetry is live
+        self.metered = self.telemetry.enabled
         self.accountant = accountant
         self.sim = simulator if simulator is not None else Simulator()
         self.resolve_lock = threading.RLock()
@@ -620,6 +654,7 @@ class FanoutScheduler:
         self._submitted = 0
         self._resolved = 0
         self._stashed_failures: list[tuple[_WorkState, BaseException]] = []
+        self._threaded = self.config.execution == "threads"
         self._executor: ThreadPoolExecutor | None = None
         self._closed = False
         self.channels: list[ReplicaChannel] = []
@@ -629,7 +664,7 @@ class FanoutScheduler:
                 self.add_channel(guard=target)
             else:
                 self.add_channel(link=target)
-        # telemetry instruments (shared, cheap null objects when disabled)
+        # telemetry instruments (null objects when disabled, and then unused)
         tel = self.telemetry
         self._inflight_gauge = tel.gauge("sched.inflight")
         self._queue_histogram = tel.histogram("sched.queue_depth")
@@ -658,7 +693,7 @@ class FanoutScheduler:
         return channel
 
     def _ensure_workers(self) -> None:
-        if self.config.execution != "threads" or self._executor is not None:
+        if self._executor is not None:
             return
         self._executor = ThreadPoolExecutor(
             max_workers=max(1, len(self.channels)),
@@ -691,60 +726,73 @@ class FanoutScheduler:
         """
         if self._closed:
             raise ReplicationError("scheduler is closed")
-        if only is not None and not 0 <= only < len(self.channels):
+        if only is None:
+            targets: Sequence[ReplicaChannel] = self.channels
+        elif 0 <= only < len(self.channels):
+            targets = (self.channels[only],)
+        else:
             raise ConfigurationError(
                 f"targeted submit index {only} out of range "
                 f"({len(self.channels)} channels)"
             )
-        with self.telemetry.span(
-            "sched.submit", seq=work.last_seq, batched=work.is_batch
-        ):
-            self._submit_counter.inc()
-            targets = (
-                self.channels if only is None else [self.channels[only]]
+        span = NULL_SPAN
+        if self.metered:
+            span = self.telemetry.span(
+                "sched.submit", seq=work.last_seq, batched=work.is_batch
             )
+            self._submit_counter.inc()
+        with span:
             state = _WorkState(work, charge, journal_charge, len(targets))
             self._submitted += 1
             if not targets:
                 self._finalize(state)
                 return
-            with self.resolve_lock:
-                self._outstanding += 1
-                # Dirty-mark before the work can reach any wire: a routed
-                # read that observes the mark is serialized before the
-                # write; one that doesn't is serialized after its ack.
-                for channel in targets:
-                    channel.mark_dirty(state.lbas)
-            if self.config.execution == "threads":
+            if self._threaded:
+                with self.resolve_lock:
+                    self._outstanding += 1
+                    # Dirty-mark before the work can reach any wire: a
+                    # routed read that observes the mark is serialized
+                    # before the write; one that doesn't, after its ack.
+                    for channel in targets:
+                        channel.mark_dirty(state.lbas)
                 self._ensure_workers()
                 for channel in targets:
                     channel.enqueue_threaded(state)
-            else:
+                return
+            # Inline: one thread runs every send, so one acquisition
+            # covers the whole fan-out (a reader on another thread sees
+            # the submission entirely before or entirely after it).
+            with self.resolve_lock:
+                self._outstanding += 1
                 for channel in targets:
                     channel.enqueue_sim(state)
 
     # -- resolution ----------------------------------------------------------
 
     def resolve(self, state: _WorkState, index: int, outcome: str) -> None:
-        """One channel finished with ``state``; finalize when all have."""
+        """A channel worker finished with ``state`` (threaded backends)."""
         with self.resolve_lock:
             self.channels[index].clear_dirty(state.lbas)
-            if outcome == "delivered":
-                state.delivered += 1
-                if self.accountant is not None and not self._guarded:
-                    self.accountant.record_replica_ship(
-                        state.work.wire_size, replica=index
-                    )
-            elif outcome == "journaled":
-                state.journaled += 1
-            state.remaining -= 1
-            if state.remaining > 0:
-                return
-            self._finalize(state)
-            self._outstanding -= 1
-            self._resolved += 1
+            self.settle(state, index, outcome)
             if self._outstanding == 0:
                 self._drained.notify_all()
+
+    def settle(self, state: _WorkState, index: int, outcome: str) -> None:
+        """Book channel ``index``'s outcome; finalize when all have (hold lock)."""
+        if outcome == "delivered":
+            state.delivered += 1
+            if self.accountant is not None and not self._guarded:
+                self.accountant.record_replica_ship(
+                    state.work.wire_size, replica=index
+                )
+        elif outcome == "journaled":
+            state.journaled += 1
+        state.remaining -= 1
+        if state.remaining > 0:
+            return
+        self._finalize(state)
+        self._outstanding -= 1
+        self._resolved += 1
 
     def _finalize(self, state: _WorkState) -> None:
         """Fire the submission's single charging callback; stash failures."""
@@ -774,7 +822,7 @@ class FanoutScheduler:
             "sched.drain", outstanding=self._outstanding
         ):
             self._drain_counter.inc()
-            if self.config.execution == "threads":
+            if self._threaded:
                 with self._drained:
                     if not self._drained.wait_for(
                         lambda: self._outstanding == 0,
@@ -785,7 +833,8 @@ class FanoutScheduler:
                             f"{self._outstanding} submissions outstanding"
                         )
             else:
-                self.sim.run_all()
+                with self.resolve_lock:
+                    self.sim.run_all()
                 if self._outstanding:
                     raise ReplicationError(
                         f"simulation exhausted with {self._outstanding} "
@@ -853,6 +902,16 @@ class FanoutScheduler:
         with self.resolve_lock:
             return self.channels[index].lba_in_flight(lba)
 
+    def clean_channels(self, lba: int, indices: list[int]) -> list[int]:
+        """Those of ``indices`` whose channel has no unresolved work on ``lba``.
+
+        :meth:`lba_in_flight` for a candidate set under one acquisition
+        of the resolve lock.
+        """
+        channels = self.channels
+        with self.resolve_lock:
+            return [j for j in indices if lba not in channels[j]._dirty]
+
     def dirty_lbas(self, index: int) -> frozenset[int]:
         """Snapshot of channel ``index``'s dirty-LBA set (diagnostics)."""
         with self.resolve_lock:
@@ -860,13 +919,15 @@ class FanoutScheduler:
 
     def update_inflight(self) -> None:
         """Refresh the ``sched.inflight`` gauge from channel windows."""
-        self._inflight_gauge.set(
-            sum(channel.inflight for channel in self.channels)
-        )
+        if self.metered:
+            self._inflight_gauge.set(
+                sum(channel.inflight for channel in self.channels)
+            )
 
     def record_queue_depth(self, depth: int) -> None:
         """Feed the ``sched.queue_depth`` histogram."""
-        self._queue_histogram.record(depth)
+        if self.metered:
+            self._queue_histogram.record(depth)
 
     def record_stall(self, seconds: float) -> None:
         """Charge ``seconds`` of producer stall to ``sched.stall_ns``."""

@@ -179,7 +179,9 @@ class ReplicationStrategy(ABC):
         """In-place form of :meth:`apply_update` for the replica fast path.
 
         ``block`` must hold ``A_old`` on entry when :attr:`needs_old_data`
-        is set (zeroed scratch otherwise) and holds ``A_new`` on exit.
+        is set (otherwise its contents are arbitrary — the replica reuses
+        its scratch block — and every byte must be overwritten) and holds
+        ``A_new`` on exit.
         The default round-trips through :meth:`apply_update`; strategies
         override to scatter the decoded frame directly — for PRINS only
         the changed spans of the block are ever touched (Eq. 2 applied

@@ -11,7 +11,9 @@ sessions one node can serve.  This module rebuilds the wire layer on
   server drives, invoked PDU-by-PDU from the reader coroutine — so the
   response bytes are identical to the threaded server's by construction;
 * per-connection PDU framing is strictly ordered: one reader coroutine
-  reads a 48-byte BHS with ``readexactly``, then the data segment, then
+  feeds whatever the stream delivers into the same
+  :class:`~repro.iscsi.pdu.FrameBuffer` the blocking transport receives
+  into, takes each whole PDU out of it, then
   writes the response and awaits ``drain()`` — the flow-controlled write
   that turns a slow initiator into backpressure on exactly that session
   instead of unbounded buffering;
@@ -39,8 +41,9 @@ from typing import Iterable
 
 from repro.block.device import BlockDevice
 from repro.common.errors import LoginError, ProtocolError
-from repro.iscsi.pdu import BHS_SIZE, Opcode, Pdu, ScsiOp, Status
+from repro.iscsi.pdu import FrameBuffer, Opcode, Pdu, ScsiOp, Status
 from repro.iscsi.target import BatchHandler, ReplicationHandler, Target
+from repro.iscsi.transport import TransportClosedError
 from repro.obs.registry import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 from repro.obs.telemetry import NULL_TELEMETRY
 
@@ -95,11 +98,21 @@ class EventLoopThread:
         self.close()
 
 
-async def _read_pdu(reader: asyncio.StreamReader) -> Pdu:
-    """Read one framed PDU: fixed BHS, then the advertised data segment."""
-    header = await reader.readexactly(BHS_SIZE)
-    pdu, data_len = Pdu.unpack_header(header)
-    pdu.data = await reader.readexactly(data_len) if data_len else b""
+#: most bytes taken from the stream per read
+_READ_CHUNK = 64 * 1024
+
+
+async def _read_pdu(reader: asyncio.StreamReader, frames: FrameBuffer) -> Pdu:
+    """Next whole PDU of the connection ``frames`` reassembles.
+
+    Bytes of a PDU still in progress stay in ``frames`` when the read is
+    cancelled (a receive timeout), so the next call carries on mid-PDU.
+    """
+    while (pdu := frames.next_pdu()) is None:
+        chunk = await reader.read(_READ_CHUNK)
+        if not chunk:
+            raise TransportClosedError("peer closed the transport")
+        frames.feed(chunk)
     return pdu
 
 
@@ -116,6 +129,7 @@ class AsyncTcpTransport:
     ) -> None:
         self._reader = reader
         self._writer = writer
+        self._frames = FrameBuffer()
         self._closed = False
         self.bytes_sent = 0
         self.bytes_received = 0
@@ -142,13 +156,16 @@ class AsyncTcpTransport:
         """Await the next PDU (bounded by ``timeout`` when given)."""
         if self._closed:
             raise ProtocolError("transport is closed")
+        read = _read_pdu(self._reader, self._frames)
         try:
             if timeout is not None:
-                pdu = await asyncio.wait_for(_read_pdu(self._reader), timeout)
+                pdu = await asyncio.wait_for(read, timeout)
             else:
-                pdu = await _read_pdu(self._reader)
-        except asyncio.IncompleteReadError:
-            raise ProtocolError("peer closed the transport") from None
+                pdu = await read
+        except asyncio.TimeoutError:
+            raise TimeoutError("no PDU within timeout") from None
+        except OSError as exc:
+            raise TransportClosedError(f"receive failed: {exc}") from exc
         self.bytes_received += pdu.wire_size
         self.pdus_received += 1
         return pdu
@@ -439,9 +456,10 @@ class AsyncTargetServer:
                 replication_handler=self._replication_handler,
                 batch_handler=self._batch_handler,
             )
+        frames = FrameBuffer()
         try:
             while True:
-                request = await _read_pdu(reader)
+                request = await _read_pdu(reader, frames)
                 self.bytes_received += request.wire_size
                 response = target.handle(request)
                 if response is not None:
@@ -455,7 +473,7 @@ class AsyncTargetServer:
                     self._pdu_hist.record(len(raw))
                 if request.opcode is Opcode.LOGOUT_REQUEST:
                     break
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
+        except (TransportClosedError, ConnectionError, OSError):
             pass  # peer vanished mid-frame: drop the session
         finally:
             self._session_gauge.set(max(0, len(self._tasks) - 1))

@@ -119,22 +119,14 @@ class Target:
     def handle(self, request: Pdu) -> Pdu | None:
         """Handle a single request PDU; return the response (or None)."""
         self._stat_sn += 1
-        handlers = {
-            Opcode.LOGIN_REQUEST: self._handle_login,
-            Opcode.SCSI_COMMAND: self._handle_scsi,
-            Opcode.REPL_DATA_OUT: self._handle_replication,
-            Opcode.REPL_BATCH_OUT: self._handle_batch,
-            Opcode.NOP_OUT: self._handle_nop,
-            Opcode.LOGOUT_REQUEST: self._handle_logout,
-        }
-        handler = handlers.get(request.opcode)
+        handler = _HANDLERS.get(request.opcode)
         if handler is None:
             raise ProtocolError(f"target cannot handle opcode {request.opcode!r}")
-        if request.opcode is not Opcode.LOGIN_REQUEST and not self._logged_in:
+        if not self._logged_in and request.opcode is not Opcode.LOGIN_REQUEST:
             return self._respond(
                 request, Opcode.SCSI_RESPONSE, status=Status.PROTOCOL_VIOLATION
             )
-        return handler(request)
+        return handler(self, request)
 
     # -- opcode handlers ------------------------------------------------------
 
@@ -176,8 +168,8 @@ class Target:
             return self._respond(
                 request, Opcode.REPL_ACK, status=Status.PROTOCOL_VIOLATION
             )
-        ctx = context_from_wire(request.trace_id, request.parent_span)
-        if ctx is not None and self._repl_handler_ctx:
+        if request.trace_id and self._repl_handler_ctx:
+            ctx = context_from_wire(request.trace_id, request.parent_span)
             ack_payload = self._replication_handler(request.lba, request.data, ctx=ctx)
         else:
             ack_payload = self._replication_handler(request.lba, request.data)
@@ -189,8 +181,8 @@ class Target:
             return self._respond(
                 request, Opcode.REPL_BATCH_ACK, status=Status.PROTOCOL_VIOLATION
             )
-        ctx = context_from_wire(request.trace_id, request.parent_span)
-        if ctx is not None and self._batch_handler_ctx:
+        if request.trace_id and self._batch_handler_ctx:
+            ctx = context_from_wire(request.trace_id, request.parent_span)
             ack_payload = self._batch_handler(request.data, ctx=ctx)
         else:
             ack_payload = self._batch_handler(request.data)
@@ -218,6 +210,17 @@ class Target:
             seq=self._stat_sn,
             data=data,
         )
+
+
+#: request opcode -> handler, looked up per PDU (built once, not per call)
+_HANDLERS = {
+    Opcode.LOGIN_REQUEST: Target._handle_login,
+    Opcode.SCSI_COMMAND: Target._handle_scsi,
+    Opcode.REPL_DATA_OUT: Target._handle_replication,
+    Opcode.REPL_BATCH_OUT: Target._handle_batch,
+    Opcode.NOP_OUT: Target._handle_nop,
+    Opcode.LOGOUT_REQUEST: Target._handle_logout,
+}
 
 
 class TargetServer:

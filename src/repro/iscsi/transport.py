@@ -18,9 +18,7 @@ import socket
 from abc import ABC, abstractmethod
 
 from repro.common.errors import ProtocolError
-from repro.iscsi.pdu import BHS_SIZE, Pdu
-from repro.obs.registry import NULL_COUNTER, NULL_HISTOGRAM
-from repro.obs.telemetry import NULL_TELEMETRY
+from repro.iscsi.pdu import BHS_SIZE, FrameBuffer, Pdu
 
 
 class Transport(ABC):
@@ -39,15 +37,14 @@ class Transport(ABC):
         self.bytes_received = 0
         self.pdus_sent = 0
         self.pdus_received = 0
-        self._telemetry = NULL_TELEMETRY
-        self._tx_bytes = NULL_COUNTER
-        self._rx_bytes = NULL_COUNTER
-        self._tx_pdus = NULL_COUNTER
-        self._rx_pdus = NULL_COUNTER
-        self._pdu_hist = NULL_HISTOGRAM
+        #: live telemetry, or ``None``: unbound transports touch no instrument
+        self._telemetry = None
 
     def bind_telemetry(self, telemetry) -> None:
         """Route this transport's counters/spans into ``telemetry``."""
+        if not telemetry.enabled:
+            self._telemetry = None
+            return
         self._telemetry = telemetry
         self._tx_bytes = telemetry.counter("transport.bytes_sent")
         self._rx_bytes = telemetry.counter("transport.bytes_received")
@@ -58,13 +55,17 @@ class Transport(ABC):
     def send(self, pdu: Pdu) -> None:
         """Send one PDU."""
         raw = pdu.pack()
-        with self._telemetry.span("transport.send", bytes=len(raw)):
+        size = len(raw)
+        if self._telemetry is None:
             self._send_raw(raw)
-        self.bytes_sent += len(raw)
+        else:
+            with self._telemetry.span("transport.send", bytes=size):
+                self._send_raw(raw)
+            self._tx_bytes.inc(size)
+            self._tx_pdus.inc()
+            self._pdu_hist.record(size)
+        self.bytes_sent += size
         self.pdus_sent += 1
-        self._tx_bytes.inc(len(raw))
-        self._tx_pdus.inc()
-        self._pdu_hist.record(len(raw))
 
     def receive(self, timeout: float | None = None) -> Pdu:
         """Block until the next PDU arrives and return it.
@@ -72,10 +73,12 @@ class Transport(ABC):
         Raises :class:`TransportClosedError` when the peer has closed.
         """
         pdu = self._receive_pdu(timeout)
-        self.bytes_received += pdu.wire_size
+        size = BHS_SIZE + len(pdu.data)
+        self.bytes_received += size
         self.pdus_received += 1
-        self._rx_bytes.inc(pdu.wire_size)
-        self._rx_pdus.inc()
+        if self._telemetry is not None:
+            self._rx_bytes.inc(size)
+            self._rx_pdus.inc()
         return pdu
 
     @abstractmethod
@@ -268,12 +271,21 @@ def transport_pair() -> tuple[InProcessTransport, InProcessTransport]:
 
 
 class TcpTransport(Transport):
-    """PDU pipe over a connected TCP socket."""
+    """PDU pipe over a connected TCP socket.
+
+    Receives go through one :class:`~repro.iscsi.pdu.FrameBuffer` filled
+    by ``recv_into``: a PDU that arrives in one segment costs one
+    syscall, and coalesced or split segments parse the same way.  The
+    socket's timeout is changed only when a receive asks for a different
+    one, so a session with a fixed timeout never touches it again.
+    """
 
     def __init__(self, sock: socket.socket) -> None:
         super().__init__()
         self._sock = sock
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._timeout = sock.gettimeout()
+        self._frames = FrameBuffer()
         self._closed = False
 
     @classmethod
@@ -294,34 +306,24 @@ class TcpTransport(Transport):
     def _receive_pdu(self, timeout: float | None) -> Pdu:
         if self._closed:
             raise TransportClosedError("transport is closed")
-        self._sock.settimeout(timeout)
+        frames = self._frames
         try:
-            header = self._recv_exact(BHS_SIZE)
-            pdu, data_len = Pdu.unpack_header(header)
-            pdu.data = self._recv_exact(data_len) if data_len else b""
-        except socket.timeout:
+            pdu = frames.next_pdu()
+            if pdu is None and timeout != self._timeout:
+                self._sock.settimeout(timeout)
+                self._timeout = timeout
+            while pdu is None:
+                count = self._sock.recv_into(frames.writable())
+                if not count:
+                    raise TransportClosedError("peer closed the connection")
+                frames.wrote(count)
+                pdu = frames.next_pdu()
+        except TimeoutError:
+            # whatever part of a PDU arrived stays in the frame buffer
             raise TimeoutError("no PDU within timeout") from None
         except OSError as exc:
             raise TransportClosedError(f"receive failed: {exc}") from exc
-        finally:
-            try:
-                self._sock.settimeout(None)
-            except OSError:
-                # close() from another thread severed the socket mid-receive;
-                # the TransportClosedError above is the real story
-                pass
         return pdu
-
-    def _recv_exact(self, n: int) -> bytes:
-        chunks: list[bytes] = []
-        remaining = n
-        while remaining:
-            chunk = self._sock.recv(remaining)
-            if not chunk:
-                raise TransportClosedError("peer closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
 
     def close(self) -> None:
         if not self._closed:

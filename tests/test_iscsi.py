@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,9 @@ from hypothesis import strategies as st
 from repro.block import MemoryBlockDevice
 from repro.common.errors import ProtocolError
 from repro.iscsi import (
+    AsyncInitiator,
+    AsyncTcpTransport,
+    EventLoopThread,
     Initiator,
     Opcode,
     Pdu,
@@ -20,7 +25,7 @@ from repro.iscsi import (
     transport_pair,
 )
 from repro.iscsi.pdu import BHS_SIZE, ScsiOp, Status
-from repro.iscsi.transport import TransportClosedError
+from repro.iscsi.transport import FlakyTransport, TransportClosedError
 
 BS = 512
 
@@ -226,6 +231,163 @@ class TestTcp:
             for lba in range(5):
                 initiator.write(lba, bytes([lba + 1]) * BS)
                 assert initiator.read(lba) == bytes([lba + 1]) * BS
+            initiator.logout()
+
+
+class _Tier:
+    """One transport tier driven from synchronous test code."""
+
+    def __init__(self, name):
+        self.name = name
+        self.loop = EventLoopThread() if name == "aio" else None
+
+    def run(self, result):
+        """Finish a call: the asyncio tier returns coroutines to await."""
+        return result if self.loop is None else self.loop.run(result)
+
+    def connect(self, host, port):
+        if self.loop is None:
+            return TcpTransport.connect(host, port)
+        return self.run(AsyncTcpTransport.connect(host, port))
+
+    def close(self):
+        if self.loop is not None:
+            self.loop.close()
+
+
+@pytest.fixture(params=["tcp", "aio"])
+def tier(request):
+    tier = _Tier(request.param)
+    yield tier
+    tier.close()
+
+
+@pytest.fixture
+def framed(tier):
+    """``(peer, receive)``: a raw socket feeding one transport under test."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    transport = tier.connect(*listener.getsockname())
+    peer, _ = listener.accept()
+    peer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def receive(timeout=5.0):
+        return tier.run(transport.receive(timeout))
+
+    yield peer, receive
+    tier.run(transport.close())
+    peer.close()
+    listener.close()
+
+
+def _pdu(itt, size):
+    return Pdu(
+        opcode=Opcode.REPL_DATA_OUT,
+        itt=itt,
+        lba=itt,
+        data=bytes((itt + i) % 251 for i in range(size)),
+    )
+
+
+def _send_in_pieces(peer, raw, cuts, pause=0.002):
+    """Write ``raw`` from a thread, pausing at each cut so segments split."""
+
+    def run():
+        start = 0
+        for cut in [*cuts, len(raw)]:
+            peer.sendall(raw[start:cut])
+            start = cut
+            time.sleep(pause)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestBufferedFraming:
+    """However the stream is segmented, whole PDUs come out in order."""
+
+    def test_two_pdus_coalesced_in_one_segment(self, framed):
+        peer, receive = framed
+        first, second = _pdu(1, 300), _pdu(2, 0)
+        peer.sendall(first.pack() + second.pack() + _pdu(3, 40).pack()[:60])
+        assert receive() == first
+        assert receive() == second
+        peer.sendall(_pdu(3, 40).pack()[60:])
+        assert receive() == _pdu(3, 40)
+
+    def test_one_pdu_dribbled_a_byte_at_a_time(self, framed):
+        peer, receive = framed
+        pdu = _pdu(4, 70)
+        raw = pdu.pack()
+        writer = _send_in_pieces(peer, raw, range(1, len(raw)), pause=0.0005)
+        assert receive() == pdu
+        writer.join(timeout=5)
+
+    def test_large_data_segment_split_across_receives(self, framed):
+        peer, receive = framed
+        pdu = _pdu(5, 64 * 1024)
+        raw = pdu.pack()
+        writer = _send_in_pieces(peer, raw, [10, 48, 5000, 30000, 65000])
+        assert receive() == pdu
+        writer.join(timeout=5)
+        # the buffer grew for it; a small PDU behind it still parses
+        peer.sendall(_pdu(6, 8).pack())
+        assert receive() == _pdu(6, 8)
+
+    @pytest.mark.parametrize("sent", [20, BHS_SIZE + 10], ids=["header", "data"])
+    def test_peer_close_mid_pdu(self, framed, sent):
+        peer, receive = framed
+        peer.sendall(_pdu(7, 100).pack()[:sent])
+        peer.shutdown(socket.SHUT_WR)
+        with pytest.raises(TransportClosedError):
+            receive()
+
+    def test_timeout_mid_pdu_keeps_the_partial_bytes(self, framed):
+        peer, receive = framed
+        pdu = _pdu(8, 500)
+        raw = pdu.pack()
+        peer.sendall(raw[:200])
+        with pytest.raises(TimeoutError):
+            receive(timeout=0.1)
+        peer.sendall(raw[200:])
+        assert receive() == pdu
+
+
+class TestStaleResponseDrain:
+    """A retry after a timeout still finds its own response (ITT matching)."""
+
+    def _server(self, slow_calls):
+        def handler(lba, frame):
+            if slow_calls and slow_calls.pop():
+                time.sleep(0.4)  # the ack leaves after the initiator gave up
+            return bytes(frame)[:4]
+
+        device = MemoryBlockDevice(BS, 16)
+        return TargetServer(device, replication_handler=handler)
+
+    def test_late_ack_is_drained_on_retry(self, tier):
+        with self._server(slow_calls=[True]) as server:
+            transport = tier.connect(*server.address)
+            cls = Initiator if tier.name == "tcp" else AsyncInitiator
+            initiator = cls(transport, timeout=0.2)
+            tier.run(initiator.login())
+            with pytest.raises(TimeoutError):
+                tier.run(initiator.send_replication_frame(1, b"lateXXXX"))
+            # the retry's receive meets the late ack first and skips it
+            ack = tier.run(initiator.send_replication_frame(1, b"next----"))
+            assert ack == b"next"
+            tier.run(initiator.logout())
+
+    def test_duplicated_request_is_acked_twice_and_drained(self):
+        with self._server(slow_calls=[]) as server:
+            flaky = FlakyTransport(TcpTransport.connect(*server.address))
+            initiator = Initiator(flaky, timeout=2)
+            initiator.login()
+            flaky.fail_next(1, "duplicate")
+            assert initiator.send_replication_frame(2, b"dup-0000") == b"dup-"
+            # the duplicate's ack is still queued: the next exchange skips it
+            assert initiator.send_replication_frame(3, b"nxt-0000") == b"nxt-"
+            assert flaky.duplicates == 1
             initiator.logout()
 
 

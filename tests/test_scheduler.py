@@ -173,6 +173,70 @@ class TestCreditWindow:
             assert dev.snapshot() == primary.snapshot()
 
 
+class TestAcksResolveAtSend:
+    """Inline sends are round trips: a zero-latency ack is in hand at send."""
+
+    WINDOW = 8
+    WRITES = 200  # far more than the window, far fewer than max_queue
+
+    @pytest.mark.parametrize("transport", ["inline", "tcp"])
+    def test_writes_are_on_the_wire_without_a_drain(self, transport):
+        from repro.api import ReplicationConfig, open_primary
+
+        config = ReplicationConfig(
+            block_size=BS,
+            num_blocks=N,
+            replicas=2,
+            transport=transport,
+            fanout="pipelined",
+            window=self.WINDOW,
+        )
+        with open_primary(config) as stack:
+            rng = random.Random(5)
+            for _ in range(self.WRITES):
+                stack.engine.write_block(rng.randrange(N), rng.randbytes(BS))
+            # no drain(): what was submitted must already be applied
+            for replica in stack.replica_engines:
+                assert replica.records_applied >= self.WRITES - self.WINDOW
+            channels = stack.engine.scheduler.snapshot()["channels"]
+            for channel in channels:
+                assert channel["queue_depth"] == 0
+                assert channel["dirty_lbas"] <= self.WINDOW
+                assert channel["acks"] >= self.WRITES - self.WINDOW
+                assert channel["stalls"] == 0
+
+    def test_read_of_settled_lba_routes_to_a_replica(self):
+        """An LBA written more than ``window`` writes ago is no conflict."""
+        engine, primary, _ = _stack(
+            replicas=2,
+            read_policy="replica",
+            scheduler=SchedulerConfig(window=self.WINDOW),
+        )
+        rng = random.Random(6)
+        for i in range(self.WRITES):
+            engine.write_block(i % N, rng.randbytes(BS))
+        settled = (self.WRITES - 1 - 2 * self.WINDOW) % N
+        assert engine.read_block(settled) == primary.read_block(settled)
+        assert engine.router.reads_replica == 1
+        assert engine.router.reads_conflict == 0
+
+    def test_metered_latency_still_holds_the_window(self):
+        """``latency_s > 0`` keeps the event path: credits, queue, dirty set."""
+        engine, _, _ = _stack(
+            replicas=2,
+            scheduler=SchedulerConfig(window=self.WINDOW, link_latency_s=0.01),
+        )
+        _random_writes(engine, count=20)
+        for channel in engine.scheduler.channels:
+            assert channel.inflight == self.WINDOW
+            assert channel.queue_depth == 20 - self.WINDOW
+            assert channel.dirty_lba_count > 0
+        engine.drain()
+        for channel in engine.scheduler.channels:
+            assert channel.stats.acks == 20
+            assert channel.dirty_lba_count == 0
+
+
 class TestOutOfOrderAcks:
     def test_jittered_acks_compact_to_cumulative_pointer(self):
         engine, primary, reps = _stack(
