@@ -35,8 +35,6 @@ DEFAULT_DOCS = [
     "DESIGN.md",
     "ARCHITECTURE.md",
     "EXPERIMENTS.md",
-    "ROADMAP.md",
-    "CHANGES.md",
 ]
 
 #: ``[text](target)`` — non-greedy text, target up to the closing paren.

@@ -31,7 +31,6 @@ from repro.api import (
 )
 from repro.block import (
     BlockDevice,
-    CachedDevice,
     ChecksumDevice,
     CountingDevice,
     FileBlockDevice,
@@ -64,7 +63,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BlockDevice",
-    "CachedDevice",
     "ChecksumDevice",
     "Column",
     "ColumnType",

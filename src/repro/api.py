@@ -29,19 +29,14 @@ stable; this module is sugar over them, not a replacement.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.block.memory import MemoryBlockDevice
 from repro.common.errors import ConfigurationError
 from repro.engine.batch import BatchConfig
 from repro.engine.cluster import ClusterConfig, StorageCluster
-from repro.engine.links import (
-    DirectLink,
-    InitiatorLink,
-    ReplicaLink,
-    _warn_deprecated,
-)
+from repro.engine.links import DirectLink, InitiatorLink, ReplicaLink
 from repro.engine.primary import PrimaryEngine
 from repro.engine.replica import ReplicaEngine
 from repro.engine.resilience import ResilienceConfig, RetryPolicy
@@ -76,9 +71,6 @@ _FANOUT_MODES = ("sequential", "pipelined")
 
 #: transport tiers accepted by :attr:`ReplicationConfig.transport`
 _TRANSPORT_MODES = ("inline", "tcp", "asyncio")
-
-#: legacy ``scheduler_mode`` values → the ``workers`` backend each maps to
-_SCHEDULER_MODE_TO_WORKERS = {"sim": "inline", "threads": "threads"}
 
 #: resync escalation modes accepted by :attr:`ReplicationConfig.resync`
 _RESYNC_MODES = ("reconcile", "digest")
@@ -174,10 +166,7 @@ class ReplicationConfig:
       caller, ``threads`` = the fan-out scheduler's thread pool,
       ``process`` = a :class:`~repro.engine.workers.CodecWorkerPool` of
       ``worker_count`` processes fed through ``ring_slots``-deep
-      shared-memory rings — the GIL escape for encode-bound mixes).
-      The deprecated ``scheduler_mode`` kwarg still maps onto ``workers``
-      (``sim`` → ``inline``, ``threads`` → ``threads``) with a one-shot
-      :class:`DeprecationWarning`;
+      shared-memory rings — the GIL escape for encode-bound mixes);
     * **scale-out** — ``read_policy`` (``primary`` = every read served
       locally, ``replica``/``least_loaded`` = conflict-free reads routed
       across healthy replicas, :mod:`repro.engine.router`) and
@@ -240,24 +229,9 @@ class ReplicationConfig:
         default_factory=ObservabilityConfig
     )
     seed: int = 0
-    # -- deprecated shims (init-only; excluded from fields()/to_dict) ----------
-    scheduler_mode: InitVar[str | None] = None
 
-    def __post_init__(self, scheduler_mode: str | None) -> None:
+    def __post_init__(self) -> None:
         """Validate the cheap invariants; deeper ones live in the builders."""
-        if scheduler_mode is not None:
-            _warn_deprecated(
-                "ReplicationConfig(scheduler_mode=...)",
-                "ReplicationConfig(workers=...)",
-            )
-            workers = _SCHEDULER_MODE_TO_WORKERS.get(scheduler_mode)
-            if workers is None:
-                raise ConfigurationError(
-                    f"scheduler_mode must be one of "
-                    f"{tuple(_SCHEDULER_MODE_TO_WORKERS)}, "
-                    f"got {scheduler_mode!r}"
-                )
-            object.__setattr__(self, "workers", workers)
         if self.fanout not in _FANOUT_MODES:
             raise ConfigurationError(
                 f"fanout must be one of {_FANOUT_MODES}, got {self.fanout!r}"
@@ -374,14 +348,8 @@ class ReplicationConfig:
 
     @classmethod
     def from_dict(cls, raw: dict[str, Any]) -> "ReplicationConfig":
-        """Rebuild a config from :meth:`to_dict` output; rejects unknown keys.
-
-        Legacy dicts carrying ``scheduler_mode`` still load (the init-only
-        shim maps it onto ``workers``, with the same one-shot
-        :class:`DeprecationWarning` as keyword use).
-        """
+        """Rebuild a config from :meth:`to_dict` output; rejects unknown keys."""
         known = {f.name for f in dataclasses.fields(cls)}
-        known.add("scheduler_mode")  # InitVar: absent from fields()
         unknown = set(raw) - known
         if unknown:
             raise ConfigurationError(

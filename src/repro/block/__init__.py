@@ -16,14 +16,12 @@ Wrappers (each is itself a :class:`BlockDevice`):
 
 * :class:`~repro.block.stats.CountingDevice` — I/O accounting.
 * :class:`~repro.block.verify.ChecksumDevice` — end-to-end CRC verification.
-* :class:`~repro.block.cached.CachedDevice` — write-through LRU read cache.
 
 Plus one passive container: :class:`~repro.block.lru.BlockCache`, the
 bounded LRU of block contents the PRINS primary consults for ``A_old``
 before paying a device read (not itself a device).
 """
 
-from repro.block.cached import CachedDevice
 from repro.block.device import BlockDevice
 from repro.block.faulty import FaultyDevice, InjectedIoError
 from repro.block.file import FileBlockDevice
@@ -36,7 +34,6 @@ from repro.block.verify import ChecksumDevice
 __all__ = [
     "BlockCache",
     "BlockDevice",
-    "CachedDevice",
     "ChecksumDevice",
     "CountingDevice",
     "FaultyDevice",

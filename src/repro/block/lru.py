@@ -9,10 +9,9 @@ dictionary hit — and because the engine refreshes the entry with the block
 it just wrote, steady-state overwrite workloads never touch the device for
 ``A_old`` at all.
 
-Unlike :class:`repro.block.cached.CachedDevice` (a device *wrapper* that
-caches reads transparently), this is a plain passive container owned and
-consulted explicitly by the engine, with hit/miss/eviction counters that
-surface through the engine's telemetry snapshot.
+It is a plain passive container, not a device wrapper: the engine owns
+and consults it explicitly, and its hit/miss/eviction counters surface
+through the engine's telemetry snapshot.
 """
 
 from __future__ import annotations

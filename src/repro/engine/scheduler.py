@@ -66,7 +66,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.errors import (
@@ -75,7 +75,7 @@ from repro.common.errors import (
     ReplicationError,
 )
 from repro.common.rng import make_rng
-from repro.engine.links import ReplicaLink, _warn_deprecated
+from repro.engine.links import ReplicaLink
 from repro.engine.work import ShipWork
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.obs.tracing import NULL_SPAN
@@ -96,9 +96,6 @@ __all__ = [
 #: sentinel that stops a thread-mode channel worker
 _STOP = object()
 
-
-#: legacy ``mode=`` values and the ``workers=`` backend each maps to
-_MODE_TO_WORKERS = {"sim": "inline", "threads": "threads"}
 
 #: worker backends a scheduler accepts
 WORKER_BACKENDS = ("inline", "threads", "process")
@@ -126,11 +123,6 @@ class SchedulerConfig:
     window before :meth:`FanoutScheduler.submit` stalls the producer
     (threaded backends block for real; inline counts a stall and keeps
     queueing, staying deterministic).
-
-    .. deprecated::
-       ``mode="sim"`` / ``mode="threads"`` are accepted as init-only
-       aliases for ``workers="inline"`` / ``workers="threads"`` and emit
-       a one-shot :class:`DeprecationWarning`; use ``workers=``.
     """
 
     workers: str = "inline"
@@ -143,20 +135,9 @@ class SchedulerConfig:
     drain_timeout_s: float = 30.0
     worker_count: int = 0
     ring_slots: int = 8
-    mode: InitVar[str | None] = None
 
-    def __post_init__(self, mode: str | None) -> None:
-        """Map the deprecated alias, then validate backend and latency."""
-        if mode is not None:
-            _warn_deprecated(
-                "SchedulerConfig(mode=...)", "SchedulerConfig(workers=...)"
-            )
-            workers = _MODE_TO_WORKERS.get(mode)
-            if workers is None:
-                raise ConfigurationError(
-                    f"scheduler mode must be 'sim' or 'threads', got {mode!r}"
-                )
-            object.__setattr__(self, "workers", workers)
+    def __post_init__(self) -> None:
+        """Validate backend, window and latency."""
         if self.workers not in WORKER_BACKENDS:
             raise ConfigurationError(
                 f"scheduler workers must be one of {WORKER_BACKENDS}, "

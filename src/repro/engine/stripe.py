@@ -4,10 +4,9 @@ PRINS's core identity — the parity delta ``P' = A_new ⊕ A_old`` that
 updates a mirror is byte-for-byte the quantity that updates an XOR
 erasure parity — generalizes to any *linear* code over GF(2): a
 Reed-Solomon combination of delta slices is itself a valid delta against
-the coded fragment.  This module exploits that to promote
-:mod:`repro.engine.erasure`'s standalone pool into a first-class
-replication tier (Dimakis et al., *Network Coding for Distributed
-Storage* — PAPERS.md):
+the coded fragment.  This module exploits that to make erasure coding
+a first-class replication tier (Dimakis et al., *Network Coding for
+Distributed Storage* — PAPERS.md):
 
 * :class:`StripeConfig` / :class:`StripeCodec` — split one block (or one
   parity delta) into ``k`` data slices and ``m = n - k`` coded parity

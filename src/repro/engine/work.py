@@ -1,17 +1,15 @@
 """Unified ship submission: one value type for records and batches.
 
-Historically the link layer exposed two parallel surfaces —
-``ship(lba, record)`` for a single :class:`~repro.engine.messages
-.ReplicationRecord` and ``ship_batch(batch)`` for a multi-segment
-:class:`~repro.engine.batch.ShipBatch` — and every decorator
-(:class:`~repro.engine.resilience.FaultyLink`,
-:class:`~repro.engine.resilience.ResilientLink`, …) had to duplicate its
-logic across both.  :class:`ShipWork` collapses the split: one immutable
-value describing *what goes on the wire for one submission*, carried
-through the single :meth:`repro.engine.links.ReplicaLink.submit` entry
-point and through the fan-out scheduler
-(:mod:`repro.engine.scheduler`), which needs exactly one submission
-surface per replica channel.
+A submission is either a single :class:`~repro.engine.messages
+.ReplicationRecord` or a multi-segment
+:class:`~repro.engine.batch.ShipBatch`.  :class:`ShipWork` is one
+immutable value describing *what goes on the wire for one submission*,
+so every decorator (:class:`~repro.engine.resilience.FaultyLink`,
+:class:`~repro.engine.resilience.ResilientLink`, …) handles both kinds
+in one place.  It is carried through the single
+:meth:`repro.engine.links.ReplicaLink.submit` entry point and through
+the fan-out scheduler (:mod:`repro.engine.scheduler`), which needs
+exactly one submission surface per replica channel.
 """
 
 from __future__ import annotations
@@ -141,7 +139,7 @@ class ShipWork:
         :attr:`ReplicationRecord.seq`; batches check the batch ack's last
         sequence number — the same checks the engine's sequential fan-out
         performs inline, factored here so the pipelined scheduler and the
-        legacy path verify identically.
+        sequential path verify identically.
         """
         if self.batch is not None:
             last_seq, _applied, _dups = unpack_batch_ack(ack)

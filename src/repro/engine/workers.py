@@ -205,18 +205,24 @@ class _WorkerChannel:
         return self._pop_locked()
 
     def pop_wait(self, timeout: float) -> tuple[int, int, int, bytes | None]:
-        """Blocking result fetch; raises on worker death or stall."""
+        """Blocking result fetch; raises on worker death or stall.
+
+        Waits in short slices so a dead worker is reported at once; a
+        live one still gets the full ``timeout``.
+        """
         ring = self.result
-        if not ring.items.acquire(timeout=timeout):
+        deadline = time.monotonic() + timeout
+        while not ring.items.acquire(timeout=0.1):
             if not self.process.is_alive():
                 raise ReplicationError(
                     "codec worker died mid-batch "
                     f"(exitcode={self.process.exitcode})"
                 )
-            raise ReplicationError(
-                f"codec worker stalled for {timeout:.0f}s "
-                f"({self.outstanding} descriptors outstanding)"
-            )
+            if time.monotonic() >= deadline:
+                raise ReplicationError(
+                    f"codec worker stalled for {timeout:.0f}s "
+                    f"({self.outstanding} descriptors outstanding)"
+                )
         return self._pop_locked()
 
     def _pop_locked(self) -> tuple[int, int, int, bytes | None]:

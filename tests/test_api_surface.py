@@ -1,10 +1,10 @@
 """API-surface snapshot: the public facade must not drift silently.
 
-Pins the exported names of :mod:`repro.api`, the fields of
-:class:`~repro.api.ReplicationConfig`, and the engine-package exports the
-facade is built on.  A failing test here means a (possibly accidental)
-public-API change: update the snapshot *deliberately*, in the same commit
-that documents the change.
+Pins the exported names of :mod:`repro.api`, :mod:`repro`,
+:mod:`repro.engine` and :mod:`repro.block` exactly, and the fields of
+:class:`~repro.api.ReplicationConfig`.  A failing test here means a
+(possibly accidental) public-API change: update the snapshot
+*deliberately*, in the same commit that documents the change.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import inspect
 
 import repro
 import repro.api as api
+import repro.block as block
 import repro.engine as engine
 
 #: the complete public surface of repro.api
@@ -61,34 +62,132 @@ CONFIG_FIELDS = (
     "seed",
 )
 
-#: engine exports the redesign added (scheduler + unified work protocol)
-ENGINE_SCHEDULER_EXPORTS = {
-    "FanoutScheduler",
-    "LatencyLink",
-    "ReplicaChannel",
-    "SchedulerConfig",
-    "ShipWork",
-    "SimClock",
-    "ConservationError",
-    "ReplicaTraffic",
+#: the complete top-level surface of repro
+REPRO_EXPORTS = {
+    "BlockDevice",
+    "ChecksumDevice",
+    "Column",
+    "ColumnType",
+    "CompressedBlockStrategy",
+    "CountingDevice",
+    "Database",
+    "DirectLink",
+    "FileBlockDevice",
+    "FileSystem",
+    "FullBlockStrategy",
+    "Initiator",
+    "InitiatorLink",
+    "MemoryBlockDevice",
+    "ObservabilityConfig",
+    "ParityLog",
+    "PrimaryEngine",
+    "PrimaryStack",
+    "PrinsStrategy",
+    "Raid0Array",
+    "Raid1Array",
+    "Raid4Array",
+    "Raid5Array",
+    "RecoveryPoint",
+    "ReplicaEngine",
+    "ReplicationConfig",
+    "ReplicationNetworkModel",
+    "Schema",
+    "SparseBlockDevice",
+    "StrategyTraffic",
+    "T1",
+    "T3",
+    "Target",
+    "TargetServer",
+    "TcpTransport",
+    "TrafficAccountant",
+    "__version__",
+    "backward_parity",
+    "digest_sync",
+    "forward_parity",
+    "full_sync",
+    "get_codec",
+    "make_strategy",
+    "open_cluster",
+    "open_primary",
+    "recover_block",
+    "recover_image",
+    "transport_pair",
+    "verify_consistency",
 }
 
-
-#: engine exports the read-scaling tier added (router + sharding)
-ENGINE_SCALEOUT_EXPORTS = {
+#: the complete surface of repro.engine
+ENGINE_EXPORTS = {
     "AggregateAccountant",
+    "BatchConfig",
+    "BatchEntry",
+    "CircuitBreaker",
+    "ClusterConfig",
+    "CodecWorkerPool",
+    "CompressedBlockStrategy",
+    "ConservationError",
+    "DirectLink",
+    "FanoutScheduler",
+    "FaultyLink",
+    "FlushResult",
+    "FullBlockStrategy",
+    "GuardedLink",
+    "InitiatorLink",
+    "InjectedLinkError",
+    "JournalingLink",
+    "LatencyLink",
+    "LinkHealth",
+    "PartialReplicationError",
+    "PrimaryEngine",
+    "PrinsStrategy",
     "READ_POLICIES",
     "ReadRouter",
+    "ReconcileConfig",
+    "ReconcileReport",
+    "ReconcileSession",
+    "ReconcileStalledError",
+    "ReplicaChannel",
+    "ReplicaEngine",
+    "ReplicaLink",
+    "ReplicaTraffic",
+    "ReplicationJournal",
+    "ReplicationRecord",
+    "ReplicationStrategy",
+    "ResilienceConfig",
+    "ResilientLink",
+    "ResyncOutcome",
+    "RetriesExhaustedError",
+    "RetryPolicy",
+    "SchedulerConfig",
     "ShardMap",
     "ShardView",
     "ShardedEngine",
+    "ShipBatch",
+    "ShipBatcher",
+    "ShipWork",
+    "SimClock",
+    "StorageCluster",
+    "TrafficAccountant",
+    "VerifyReport",
+    "WORKER_BACKENDS",
+    "digest_sync",
+    "ethernet_wire_bytes",
+    "full_sync",
+    "make_strategy",
+    "verify_consistency",
 }
 
-
-#: engine exports the concurrency tier added (process codec workers)
-ENGINE_CONCURRENCY_EXPORTS = {
-    "CodecWorkerPool",
-    "WORKER_BACKENDS",
+#: the complete surface of repro.block
+BLOCK_EXPORTS = {
+    "BlockCache",
+    "BlockDevice",
+    "ChecksumDevice",
+    "CountingDevice",
+    "FaultyDevice",
+    "FileBlockDevice",
+    "InjectedIoError",
+    "IoCounters",
+    "MemoryBlockDevice",
+    "SparseBlockDevice",
 }
 
 
@@ -101,10 +200,16 @@ ISCSI_AIO_EXPORTS = {
 }
 
 
+def _assert_all_is_exact(module, expected):
+    exported = list(module.__all__)
+    assert len(exported) == len(set(exported)), "duplicate names in __all__"
+    assert set(exported) == expected
+    for name in expected:
+        assert hasattr(module, name), f"{module.__name__}.{name} missing"
+
+
 def test_api_all_is_exact():
-    assert set(api.__all__) == API_EXPORTS
-    for name in API_EXPORTS:
-        assert hasattr(api, name), f"repro.api.{name} missing"
+    _assert_all_is_exact(api, API_EXPORTS)
 
 
 def test_api_reexported_from_repro():
@@ -124,19 +229,16 @@ def test_replication_config_is_frozen():
     assert all(f.init for f in params)
 
 
-def test_engine_exports_scheduler_surface():
-    missing = ENGINE_SCHEDULER_EXPORTS - set(engine.__all__)
-    assert not missing, f"engine exports missing: {sorted(missing)}"
+def test_repro_all_is_exact():
+    _assert_all_is_exact(repro, REPRO_EXPORTS)
 
 
-def test_engine_exports_scaleout_surface():
-    missing = ENGINE_SCALEOUT_EXPORTS - set(engine.__all__)
-    assert not missing, f"engine exports missing: {sorted(missing)}"
+def test_engine_all_is_exact():
+    _assert_all_is_exact(engine, ENGINE_EXPORTS)
 
 
-def test_engine_exports_concurrency_surface():
-    missing = ENGINE_CONCURRENCY_EXPORTS - set(engine.__all__)
-    assert not missing, f"engine exports missing: {sorted(missing)}"
+def test_block_all_is_exact():
+    _assert_all_is_exact(block, BLOCK_EXPORTS)
 
 
 def test_iscsi_exports_aio_surface():
@@ -146,19 +248,6 @@ def test_iscsi_exports_aio_surface():
     assert not missing, f"iscsi exports missing: {sorted(missing)}"
     for name in ISCSI_AIO_EXPORTS:
         assert hasattr(iscsi, name), f"repro.iscsi.{name} missing"
-
-
-def test_scheduler_mode_is_init_only():
-    """The deprecated kwarg is accepted but is not a persisted field."""
-    import warnings
-
-    field_names = {f.name for f in dataclasses.fields(api.ReplicationConfig)}
-    assert "scheduler_mode" not in field_names
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        config = api.ReplicationConfig(scheduler_mode="threads")
-    assert config.workers == "threads"
-    assert "scheduler_mode" not in config.to_dict()
 
 
 def test_open_primary_signature_is_stable():
@@ -188,11 +277,7 @@ def test_open_cluster_signature_is_stable():
 
 
 def test_link_protocol_surface():
-    """submit() is the protocol; ship/ship_batch remain as deprecated shims."""
+    """submit() is the whole link protocol."""
     from repro.engine.links import ReplicaLink
 
     assert callable(ReplicaLink.submit)
-    assert callable(ReplicaLink.ship)  # deprecated, but present
-    assert callable(ReplicaLink.ship_batch)  # deprecated, but present
-    assert "deprecated" in (ReplicaLink.ship.__doc__ or "").lower()
-    assert "deprecated" in (ReplicaLink.ship_batch.__doc__ or "").lower()

@@ -1,11 +1,10 @@
-"""Tests for the device wrappers: counting, checksum, cache."""
+"""Tests for the device wrappers: counting, checksum."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.block import (
-    CachedDevice,
     ChecksumDevice,
     CountingDevice,
     MemoryBlockDevice,
@@ -71,46 +70,3 @@ class TestChecksumDevice:
         for lba in range(4):
             dev.write_block(lba, bytes([lba]) * 512)
         assert dev.verify_all() == 4
-
-
-class TestCachedDevice:
-    def test_hit_after_miss(self):
-        dev = CachedDevice(MemoryBlockDevice(512, 8), capacity_blocks=4)
-        dev.read_block(0)
-        dev.read_block(0)
-        assert dev.misses == 1
-        assert dev.hits == 1
-        assert dev.hit_rate == 0.5
-
-    def test_write_through(self):
-        inner = MemoryBlockDevice(512, 8)
-        dev = CachedDevice(inner, capacity_blocks=4)
-        dev.write_block(0, b"w" * 512)
-        assert inner.read_block(0) == b"w" * 512  # inner is truth immediately
-
-    def test_eviction_respects_capacity(self):
-        dev = CachedDevice(MemoryBlockDevice(512, 16), capacity_blocks=2)
-        for lba in range(5):
-            dev.read_block(lba)
-        dev.read_block(4)  # most recent: hit
-        assert dev.hits == 1
-        dev.read_block(0)  # evicted long ago: miss
-        assert dev.misses == 6
-
-    def test_invalidate(self):
-        dev = CachedDevice(MemoryBlockDevice(512, 8), capacity_blocks=4)
-        dev.read_block(0)
-        dev.invalidate()
-        dev.read_block(0)
-        assert dev.misses == 2
-
-    def test_cache_serves_correct_contents(self):
-        dev = CachedDevice(MemoryBlockDevice(512, 8), capacity_blocks=2)
-        dev.write_block(0, b"1" * 512)
-        assert dev.read_block(0) == b"1" * 512
-        dev.write_block(0, b"2" * 512)
-        assert dev.read_block(0) == b"2" * 512
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            CachedDevice(MemoryBlockDevice(512, 8), capacity_blocks=0)

@@ -248,7 +248,7 @@ class TestResilientLink:
 
     def test_nontransient_errors_propagate_immediately(self):
         class ExplodingLink(DirectLink):
-            def ship(self, lba, record):
+            def _submit_record(self, lba, record):
                 raise ReplicationError("CRC mismatch — deterministic")
 
         link = ResilientLink(ExplodingLink(None), RetryPolicy(max_attempts=5))

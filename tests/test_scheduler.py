@@ -20,7 +20,7 @@ from repro.engine import (
     SimClock,
     make_strategy,
 )
-from repro.engine.links import ReplicaLink, reset_deprecation_warnings
+from repro.engine.links import ReplicaLink
 from repro.obs.telemetry import Telemetry
 
 BS = 512
@@ -63,16 +63,6 @@ class TestSchedulerConfig:
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             SchedulerConfig(workers="carrier-pigeon")
-
-    def test_deprecated_mode_maps_with_warning(self):
-        reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            config = SchedulerConfig(mode="threads")
-        assert config.workers == "threads"
-        assert config.execution == "threads"
-        with pytest.raises(ConfigurationError):
-            SchedulerConfig(mode="carrier-pigeon")
-        reset_deprecation_warnings()
 
     def test_process_backend_validates(self):
         config = SchedulerConfig(workers="process", worker_count=2, ring_slots=4)

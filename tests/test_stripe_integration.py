@@ -41,6 +41,10 @@ STRATEGY_CODECS = [
     ("prins", "rle+zlib"),
 ]
 
+#: (k, n) cells the fault-tolerance tests run at: the RS-lite default and
+#: the single-parity XOR geometry (m = 1, plain RAID-5)
+GEOMETRIES = [(4, 6), (4, 5)]
+
 write_lists = st.lists(
     st.tuples(
         st.integers(0, N_BLOCKS - 1), st.binary(min_size=BS, max_size=BS)
@@ -165,14 +169,18 @@ def test_erasure_reassembles_identical_to_mirror(writes, pair):
         erasure.engine.verify_traffic_conservation()
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    writes=write_lists,
-    drop=st.sets(st.integers(0, 5), max_size=2),
-)
-def test_reads_survive_any_m_holder_losses(writes, drop):
+@st.composite
+def _geometry_and_losses(draw):
+    k, n = draw(st.sampled_from(GEOMETRIES))
+    return k, n, draw(st.sets(st.integers(0, n - 1), max_size=n - k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(writes=write_lists, cell=_geometry_and_losses())
+def test_reads_survive_any_m_holder_losses(writes, cell):
     """Losing any <= m fragment holders leaves every block readable."""
-    with open_primary(_erasure_config(strategy="prins")) as stack:
+    k, n, drop = cell
+    with open_primary(_erasure_config(strategy="prins", k=k, n=n)) as stack:
         for lba, data in writes:
             stack.engine.write_block(lba, data)
         stack.drain()
@@ -184,44 +192,49 @@ def test_reads_survive_any_m_holder_losses(writes, drop):
 
 
 def test_losing_more_than_m_holders_fails_loudly():
-    with open_primary(_erasure_config()) as stack:
-        with pytest.raises(ReplicationError):
-            stack.read_striped(0, exclude=(0, 1, 2))
+    for k, n in GEOMETRIES:
+        with open_primary(_erasure_config(k=k, n=n)) as stack:
+            with pytest.raises(ReplicationError):
+                stack.read_striped(0, exclude=tuple(range(n - k + 1)))
 
 
 # -- fault case: lose holders, read degraded, repair, verify ------------------
 
 
 def test_lost_holders_repair_from_survivors():
-    with open_primary(_erasure_config(strategy="prins")) as stack:
-        for lba, data in _seeded_writes(30, seed=23):
-            stack.engine.write_block(lba, data)
-        stack.drain()
-        codec = stack.engine.stripe_codec
-        volume = stack.device.num_blocks * stack.device.block_size
-        # lose m holders outright (disk gone, zeroed replacements)
-        for lost in (1, 5):
-            stack.replica_devices[lost].load(
-                bytes(codec.fragment_size * N_BLOCKS)
+    for k, n in GEOMETRIES:
+        with open_primary(_erasure_config(strategy="prins", k=k, n=n)) as stack:
+            for lba, data in _seeded_writes(30, seed=23):
+                stack.engine.write_block(lba, data)
+            stack.drain()
+            codec = stack.engine.stripe_codec
+            volume = stack.device.num_blocks * stack.device.block_size
+            # lose m holders outright (disk gone, zeroed replacements): a data
+            # holder first, so m = 1 exercises the XOR reconstruction
+            lost = (1, n - 1)[: n - k]
+            for holder in lost:
+                stack.replica_devices[holder].load(
+                    bytes(codec.fragment_size * N_BLOCKS)
+                )
+            # degraded reads are still exact
+            for lba in range(N_BLOCKS):
+                assert (
+                    stack.read_striped(lba, exclude=lost)
+                    == stack.device.read_block(lba)
+                )
+            assert not stack.verify()
+            reports = [stack.repair_fragment(holder) for holder in lost]
+            assert stack.verify()
+            # regenerating economy: each rebuild ships volume/k, not volume
+            for report in reports:
+                assert report.written_bytes == volume // codec.k
+                assert report.read_bytes == volume
+            accountant = stack.engine.accountant
+            assert accountant.repairs == len(lost)
+            assert accountant.repair_write_bytes == sum(
+                report.written_bytes for report in reports
             )
-        # degraded reads are still exact
-        for lba in range(N_BLOCKS):
-            assert (
-                stack.read_striped(lba, exclude=(1, 5))
-                == stack.device.read_block(lba)
-            )
-        assert not stack.verify()
-        report1 = stack.repair_fragment(1)
-        report5 = stack.repair_fragment(5)
-        assert stack.verify()
-        # regenerating economy: each rebuild ships volume/k, not volume
-        for report in (report1, report5):
-            assert report.written_bytes == volume // codec.k
-            assert report.read_bytes == volume
-        accountant = stack.engine.accountant
-        assert accountant.repairs == 2
-        assert accountant.repair_write_bytes == 2 * (volume // codec.k)
-        stack.engine.verify_traffic_conservation()
+            stack.engine.verify_traffic_conservation()
 
 
 def test_initial_image_full_syncs_fragment_holders():
@@ -237,21 +250,22 @@ def test_initial_image_full_syncs_fragment_holders():
 
 
 def test_guarded_stripe_fail_and_heal():
-    config = _erasure_config(strategy="prins", resilient=True)
-    with open_primary(config) as stack:
-        writes = _seeded_writes(20, seed=41)
-        for lba, data in writes[:8]:
-            stack.engine.write_block(lba, data)
-        stack.engine.fail_link(5)
-        for lba, data in writes[8:]:
-            stack.engine.write_block(lba, data)
-        stack.drain()
-        assert not stack.verify()  # holder 5 is behind
-        outcome = stack.engine.heal_link(5)
-        assert "replay" in outcome.tiers
-        stack.drain()
-        assert stack.verify()
-        stack.engine.verify_traffic_conservation()
+    for k, n in GEOMETRIES:
+        config = _erasure_config(strategy="prins", resilient=True, k=k, n=n)
+        with open_primary(config) as stack:
+            writes = _seeded_writes(20, seed=41)
+            for lba, data in writes[:8]:
+                stack.engine.write_block(lba, data)
+            stack.engine.fail_link(n - 1)
+            for lba, data in writes[8:]:
+                stack.engine.write_block(lba, data)
+            stack.drain()
+            assert not stack.verify()  # the failed holder is behind
+            outcome = stack.engine.heal_link(n - 1)
+            assert "replay" in outcome.tiers
+            stack.drain()
+            assert stack.verify()
+            stack.engine.verify_traffic_conservation()
 
 
 def test_pipelined_sim_stripe_fanout():

@@ -9,6 +9,7 @@ worker processes fed through shared-memory rings.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -116,8 +117,10 @@ class TestFallbacks:
             for channel in pool._channels:
                 channel.process.terminate()
                 channel.process.join(timeout=10)
-            with pytest.raises(ReplicationError):
+            started = time.monotonic()
+            with pytest.raises(ReplicationError, match="died mid-batch"):
                 pool.encode_frames(codec, payloads)
+            assert time.monotonic() - started < 5.0
         finally:
             pool.close()
 
