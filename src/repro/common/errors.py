@@ -109,6 +109,15 @@ class RetriesExhaustedError(ReplicationError):
         self.cause = cause
 
 
+class StaleReplicaError(ReplicationError):
+    """Raised when a read or repair would have to trust a stale replica.
+
+    A replica that is not fresh (DEGRADED or DOWN, holding backlog, or
+    awaiting a resync) missed writes: reassembling a block or rebuilding
+    a fragment from it would produce bytes the primary never held.
+    """
+
+
 class SyncError(ReplicationError):
     """Raised when initial synchronization between primary and replica fails."""
 

@@ -20,7 +20,11 @@ from typing import Callable
 
 from repro.block.device import BlockDevice
 from repro.block.memory import MemoryBlockDevice
-from repro.common.errors import ConfigurationError, ReplicationError
+from repro.common.errors import (
+    ConfigurationError,
+    ReplicationError,
+    StaleReplicaError,
+)
 from repro.engine.batch import BatchConfig
 from repro.engine.links import DirectLink, ReplicaLink
 from repro.engine.primary import PrimaryEngine
@@ -428,13 +432,17 @@ class StorageCluster:
     def read_from_replica(self, primary_id: int, lba: int) -> bytes:
         """Serve ``primary_id``'s block from its replica set.
 
-        Used after a primary failure.  Mirror tier: any *live* member of
-        the replica set can answer whole; fails over down the list in
-        placement order.  Erasure tier: gathers fragments from live
-        holders (placement position = fragment index) and reassembles
-        from any ``k`` of them.  Raises
+        Used after a primary failure.  Only *live, fresh* members of the
+        replica set answer — a replica whose channel is not
+        :attr:`~repro.engine.resilience.GuardedLink.fresh` missed writes.
+        Mirror tier: any of them can answer whole; fails over down the
+        list in placement order.  Erasure tier: gathers fragments from
+        them (placement position = fragment index) and reassembles from
+        any ``k``.  Raises
+        :class:`~repro.common.errors.StaleReplicaError` when stale
+        replicas leave too few to serve, and
         :class:`~repro.common.errors.ReplicationError` when no replica —
-        or fewer than ``k`` fragment holders — can serve.
+        or fewer than ``k`` fragment holders — is live.
         """
         replicas = self.placement[primary_id]
         engine = self.nodes[primary_id].engine
@@ -445,12 +453,19 @@ class StorageCluster:
         # around it could observe a torn write.  Down channels journal
         # instantly, so this never blocks on the failed node itself.
         engine.drain()
+        guards = engine.guards
+        live = [
+            index
+            for index, replica_id in enumerate(replicas)
+            if replica_id not in self._down_nodes
+        ]
+        serving = [i for i in live if not guards or guards[i].fresh]
+        stale = len(live) - len(serving)
         codec = engine.stripe_codec
         if codec is not None:
             fragments: dict[int, bytes] = {}
-            for index, replica_id in enumerate(replicas):
-                if replica_id in self._down_nodes:
-                    continue
+            for index in serving:
+                replica_id = replicas[index]
                 region = self.nodes[replica_id].replica_regions.get(primary_id)
                 fragments[index] = (
                     region.read_block(lba)
@@ -460,20 +475,24 @@ class StorageCluster:
                 if len(fragments) == codec.k:
                     break
             if len(fragments) < codec.k:
-                raise ReplicationError(
+                error = StaleReplicaError if stale else ReplicationError
+                raise error(
                     f"only {len(fragments)} of the {codec.k} fragments "
                     f"needed for node {primary_id}'s LBA {lba} are on "
-                    f"live holders"
+                    f"live holders ({stale} more missed writes)"
                 )
             return codec.reassemble(fragments)
-        alive = [r for r in replicas if r not in self._down_nodes]
-        if not alive:
-            raise ReplicationError(
+        if not serving:
+            error = StaleReplicaError if stale else ReplicationError
+            raise error(
                 f"no replica can serve node {primary_id}'s data: "
-                f"all replicas {replicas} are down"
+                f"of replicas {replicas}, {stale} are live but missed "
+                "writes and the rest are down"
             )
-        for replica_id in alive:
-            region = self.nodes[replica_id].replica_regions.get(primary_id)
+        for index in serving:
+            region = self.nodes[replicas[index]].replica_regions.get(
+                primary_id
+            )
             if region is not None:
                 return region.read_block(lba)
         # no write ever reached any live replica; data is still all zeros

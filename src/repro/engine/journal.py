@@ -78,16 +78,6 @@ class ReplicationJournal:
         """True once any record has been dropped; cleared by :meth:`clear`."""
         return self._overflowed
 
-    def pending_lbas(self) -> list[int]:
-        """LBAs of the currently buffered records, oldest first.
-
-        Used by the resync path when it abandons the backlog: the
-        buffered records' LBAs are exactly the blocks a reconciliation
-        session must treat as dirty again (duplicates preserved — the
-        caller typically folds them into a set).
-        """
-        return [entry.lba for entry in self._entries]
-
     def append(self, lba: int, record: ReplicationRecord) -> None:
         """Buffer one missed record, evicting oldest entries if over budget.
 

@@ -37,6 +37,7 @@ from repro.common.errors import (
     ConfigurationError,
     PartialReplicationError,
     ReplicationError,
+    StaleReplicaError,
     SyncError,
 )
 from repro.engine.accounting import TrafficAccountant
@@ -428,6 +429,18 @@ class PrimaryEngine(BlockDevice):
             return [LinkHealth.HEALTHY] * len(self._links)
         return [guard.health for guard in self._guards]
 
+    def fresh_replicas(self) -> list[int]:
+        """Indices of the replicas that hold every record shipped to them.
+
+        The one "fresh holder" predicate (:attr:`GuardedLink.fresh`)
+        shared by routed reads, striped reads, survivor repair and
+        cluster failover reads.  Strict engines report every replica:
+        a strict fan-out raises instead of leaving one behind.
+        """
+        if self._guards is None:
+            return list(range(len(self._links)))
+        return [guard.index for guard in self._guards if guard.fresh]
+
     def backlog_depth(self, index: int) -> int:
         """Records backlogged for link ``index``."""
         return self._guard(index).backlog_depth
@@ -464,11 +477,14 @@ class PrimaryEngine(BlockDevice):
         """Rebuild fragment holder ``index`` from ``k`` survivors.
 
         The regenerating-style repair path: instead of re-mirroring the
-        volume, pull fragment-sized reads from ``k`` healthy holders and
-        write only the rebuilt fragment (``volume / k`` bytes) to
-        ``replacement`` (default: the failed holder's own sync device,
-        assumed replaced or zeroed).  Read/write bytes are charged to the
-        accountant's repair counters, attributed to fragment ``index``.
+        volume, pull fragment-sized reads from ``k`` fresh holders
+        (:meth:`fresh_replicas`) and write only the rebuilt fragment
+        (``volume / k`` bytes) to ``replacement`` (default: the failed
+        holder's own sync device, assumed replaced or zeroed).
+        Read/write bytes are charged to the accountant's repair
+        counters, attributed to fragment ``index``.  Raises
+        :class:`~repro.common.errors.StaleReplicaError`, writing
+        nothing, when fewer than ``k`` survivors are fresh.
         """
         codec = self._stripe_codec
         if codec is None:
@@ -490,31 +506,37 @@ class PrimaryEngine(BlockDevice):
             index,
             replacement=replacement,
             accountant=self.accountant,
+            fresh=self.fresh_replicas(),
         )
 
     def read_striped(self, lba: int, exclude: Sequence[int] = ()) -> bytes:
-        """Reassemble block ``lba`` from any ``k`` healthy fragment holders.
+        """Reassemble block ``lba`` from any ``k`` fresh fragment holders.
 
-        Skips holders listed in ``exclude`` and (on guarded engines)
-        holders whose link is DOWN; a holder whose read raises is skipped
-        too.  Raises :class:`~repro.common.errors.ReplicationError` when
-        fewer than ``k`` fragments are reachable.
+        Skips holders listed in ``exclude`` and holders that are not
+        fresh (:meth:`fresh_replicas`): a DEGRADED holder that lost a
+        delta would tear the stripe as surely as a DOWN one.  A holder
+        whose read raises is skipped too.  Raises
+        :class:`~repro.common.errors.StaleReplicaError` when stale
+        holders leave fewer than ``k`` fragments, and
+        :class:`~repro.common.errors.ReplicationError` when fewer than
+        ``k`` are reachable for any other reason.
         """
         codec = self._stripe_codec
         if codec is None:
             raise ConfigurationError(
                 "read_striped requires an erasure-striped engine"
             )
-        skip = set(exclude)
-        if self._guards is not None:
-            for guard in self._guards:
-                if guard.health is LinkHealth.DOWN:
-                    skip.add(guard.index)
+        fresh = self.fresh_replicas()
+        stale = [
+            j
+            for j in range(len(self._links))
+            if j not in fresh and j not in exclude
+        ]
         fragments: dict[int, bytes] = {}
-        for j, link in enumerate(self._links):
-            if j in skip:
+        for j in fresh:
+            if j in exclude:
                 continue
-            dev = link.sync_device()
+            dev = self._links[j].sync_device()
             if dev is None:
                 continue
             try:
@@ -524,10 +546,15 @@ class PrimaryEngine(BlockDevice):
             if len(fragments) == codec.k:
                 break
         if len(fragments) < codec.k:
-            raise ReplicationError(
+            message = (
                 f"only {len(fragments)} of the {codec.k} fragments needed "
                 f"for LBA {lba} are reachable"
             )
+            if stale:
+                raise StaleReplicaError(
+                    f"{message}; holders {stale} missed writes"
+                )
+            raise ReplicationError(message)
         return codec.reassemble(fragments)
 
     def _resync_record(

@@ -38,7 +38,18 @@ O(volume):
   rest, and writes that landed mid-outage re-pend their groups via
   :meth:`ReconcileSession.invalidate`.  If the rounds budget runs out,
   :class:`ReconcileStalledError` tells the caller to fall back to the
-  deterministic full digest sweep.
+  deterministic full digest sweep;
+* **seeding** — the primary already knows what the replica missed.  Its
+  :class:`~repro.engine.resilience.GuardedLink` remembers the LBA of
+  every record it journaled, suppressed or dropped since the replica
+  was last caught up, and a new session starts with only the groups
+  holding a remembered LBA pending and every other group verified.  A
+  heal then reads and sketches O(dirty groups), not O(volume).  The
+  trust rule: a seed is only as good as the remembered set is
+  complete, so the guard forgets an LBA only once the replica is
+  caught up (its backlog fully replayed, or a resync tier completed).
+  A resync demanded with nothing remembered runs the full session, and
+  that full session is the scrub for divergence nobody tracked.
 
 Like :func:`~repro.engine.sync.digest_sync`, this is a wire-cost
 *simulation*: both devices are read locally and every exchange a real
@@ -52,7 +63,7 @@ import hashlib
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.block.device import BlockDevice
 from repro.common.errors import ConfigurationError, SyncError
@@ -344,8 +355,13 @@ class ReconcileSession:
     instead of restarting.  :meth:`invalidate` re-pends the groups of
     LBAs written while the session was suspended, so a verified group
     can never mask a newer divergence — the session only reports
-    :attr:`complete` when every group's strong digest matched *after*
-    its content shipped.
+    :attr:`complete` when every pending group's strong digest matched
+    *after* its content shipped.
+
+    ``dirty`` seeds the session: only the groups holding one of those
+    LBAs start pending, and every other group starts verified, so the
+    session reads O(dirty groups) blocks instead of the whole volume.
+    ``None`` (the default) starts every group pending — the full scrub.
     """
 
     def __init__(
@@ -354,6 +370,7 @@ class ReconcileSession:
         block_size: int,
         config: ReconcileConfig | None = None,
         seed: int = 0,
+        dirty: Iterable[int] | None = None,
     ) -> None:
         self.config = config if config is not None else ReconcileConfig()
         self.seed = seed
@@ -366,6 +383,12 @@ class ReconcileSession:
         ]
         self._round = 0
         self.report = ReconcileReport(groups_total=len(self._groups))
+        if dirty is not None:
+            pending = {lba // size for lba in dirty if 0 <= lba < num_blocks}
+            for index, group in enumerate(self._groups):
+                if index not in pending:
+                    group.state = _VERIFIED
+            self.report.groups_verified = len(self._groups) - len(pending)
 
     @property
     def complete(self) -> bool:
@@ -380,10 +403,9 @@ class ReconcileSession:
     def invalidate(self, lbas) -> int:
         """Re-pend the groups covering ``lbas``; returns groups re-pended.
 
-        Called before a resumed run with the LBAs written since the
-        session was created (the guard tracks them while the link sits
-        in backlog-free DOWN mode), guaranteeing a write that landed
-        after a group verified sends that group back through
+        The guard calls it for every write that lands while the session
+        is suspended, so a write that landed after its group verified —
+        or in a group the seed left out — sends that group back through
         identification.
         """
         size = self.config.group_size

@@ -682,9 +682,11 @@ class GuardedLink:
         self._session: ReconcileSession | None = None
         #: (sketch, digest, diff) bytes of the session already charged
         self._reconcile_charged = (0, 0, 0)
-        #: LBAs written while resync_required — used to invalidate any
-        #: already-verified reconcile groups before a resumed run
-        self._dirty_since_resync: set[int] = set()
+        #: LBA of every record journaled, suppressed or dropped since the
+        #: replica was last caught up.  It seeds the next reconcile
+        #: session, so it must be complete: an LBA is forgotten only once
+        #: the backlog fully replays or a resync tier completes
+        self._dirty: set[int] = set()
 
     # -- state -------------------------------------------------------------
 
@@ -718,6 +720,21 @@ class GuardedLink:
     def needs_resync(self) -> bool:
         """True when only a resync tier can restore this replica."""
         return self.resync_required or self.backlog.overflowed
+
+    @property
+    def fresh(self) -> bool:
+        """True when the replica holds every record shipped to it.
+
+        HEALTHY, no backlog, no resync pending.  Every path that trusts a
+        replica's image — routed reads, striped reads, survivor repair,
+        failover reads — checks this one predicate: a DEGRADED holder
+        that lost a delta is as stale as a DOWN one.
+        """
+        return (
+            self.health is LinkHealth.HEALTHY
+            and not self.backlog.entry_count
+            and not self.needs_resync
+        )
 
     # -- data path -----------------------------------------------------------
 
@@ -753,6 +770,7 @@ class GuardedLink:
             if self.backlog.entry_count:
                 # Drain in order first: PRINS deltas are order-sensitive.
                 self._drain_backlog()
+                self._dirty.clear()  # fully replayed: caught up
             ack = self.link.submit(work)
         except JournalOverflowError as exc:
             # The backlog overflowed under our feet (concurrent writers
@@ -780,11 +798,13 @@ class GuardedLink:
             self._journal(lba, record)
 
     def _journal(self, lba: int, record: ReplicationRecord) -> None:
+        # Remember the LBA before the record can be evicted, abandoned or
+        # dropped: the next reconcile session is seeded from this set.
+        self._dirty.add(lba)
         if self.resync_required:
             # Backlog-free DOWN mode: count the deferred copy and close
             # its ledger immediately (journaled == dropped) — the resync
-            # tier will re-derive the block from the devices, and the
-            # remembered LBA re-dirties its reconcile group.
+            # tier will re-derive the block from the devices.
             self._journaled_counter.inc()
             self.accountant.record_journaled_copy(
                 record.wire_size, replica=self.index
@@ -792,7 +812,9 @@ class GuardedLink:
             self.accountant.record_backlog_drop(
                 record.wire_size, replica=self.index
             )
-            self._dirty_since_resync.add(lba)
+            if self._session is not None:
+                # a suspended reconciliation must re-check this group
+                self._session.invalidate((lba,))
             return
         dropped_before = self.backlog.payload_bytes_dropped_total
         self.backlog.append(lba, record)
@@ -815,11 +837,11 @@ class GuardedLink:
 
         The overflowed backlog can never replay, so buffering further
         records only burns memory: drop what remains (charging the
-        ledger), remember every pending LBA as dirty, and force the
-        breaker DOWN so the write path stops probing a replica that
-        only :meth:`heal` can bring back.  The primary's writes keep
-        succeeding locally throughout — a long outage degrades the
-        replica, never the write path.
+        ledger; every journaled LBA, evicted or not, is already
+        remembered), and force the breaker DOWN so the write path stops
+        probing a replica that only :meth:`heal` can bring back.  The
+        primary's writes keep succeeding locally throughout — a long
+        outage degrades the replica, never the write path.
         """
         if self.resync_required:
             return
@@ -831,7 +853,6 @@ class GuardedLink:
             pending_bytes=self.backlog.payload_bytes_pending,
             pending_records=self.backlog.entry_count,
         )
-        self._dirty_since_resync.update(self.backlog.pending_lbas())
         pending = self.backlog.payload_bytes_pending
         if pending:
             self.accountant.record_backlog_drop(pending, replica=self.index)
@@ -884,12 +905,22 @@ class GuardedLink:
         1. **replay** — backlog intact: drain it in sequence order;
         2. **reconcile** — backlog overflowed (or a prior reconciliation
            is suspended): run the :mod:`~repro.engine.reconcile` set
-           reconciliation, shipping only divergent blocks.  Requires
+           reconciliation, shipping only divergent blocks.  A new
+           session is seeded from the LBAs this guard remembers, so it
+           only sketches the groups holding one of them; with nothing
+           remembered (e.g. ``resync_required`` set by hand) it runs the
+           full session, which is the scrub.  Requires
            ``record_builder`` (the engine's strategy-aware record
            factory) and ``config.resync == "reconcile"``;
         3. **digest** — the deterministic fallback: a full
            :func:`~repro.engine.sync.digest_sync` sweep, taken when the
            reconcile tier is disabled, unavailable, or stalls.
+
+        Seeding is exact because the remembered set is complete: the
+        guard remembers the LBA of every record it journals, suppresses
+        or drops — evicted on overflow, abandoned at heal, or part of a
+        failed batch — and forgets them only once the replica is caught
+        up (backlog fully replayed, or a resync tier completed).
 
         Every tier the heal walked is recorded in the outcome's
         ``tiers``.  Transient link errors propagate with session state
@@ -909,6 +940,7 @@ class GuardedLink:
                 records_before = self.backlog.records_replayed_total
                 bytes_before = self.backlog.bytes_replayed_total
                 self._drain_backlog()  # transient errors propagate to caller
+                self._dirty.clear()
                 self.breaker.record_success()
                 self._tel.counter("resilience.resync_replay").inc()
                 return ResyncOutcome(
@@ -929,9 +961,7 @@ class GuardedLink:
                 "and clear() the backlog"
             )
         # Whatever the backlog still buffers is covered by the resync,
-        # not a replay: remember its LBAs as dirty and close the ledger.
-        if self.backlog.entry_count:
-            self._dirty_since_resync.update(self.backlog.pending_lbas())
+        # not a replay (its LBAs are already remembered): close the ledger.
         pending = self.backlog.payload_bytes_pending
         if pending:
             self.accountant.record_backlog_drop(pending, replica=self.index)
@@ -963,10 +993,15 @@ class GuardedLink:
     ) -> ResyncOutcome | None:
         """Run (or resume) the reconcile tier; None means "fall back".
 
-        A transient fault propagates after charging the bytes already
-        spent, with the session retained for the next heal.  A stall
-        discards the session and returns None so :meth:`heal` escalates
-        to the digest sweep.
+        A new session is seeded from the remembered LBAs — only their
+        groups start pending — or, with nothing remembered, starts every
+        group pending (the full scrub).  Writes that land while a
+        session is suspended re-pend their groups as they are journaled
+        (:meth:`_journal`), so a resumed session never trusts a stale
+        group.  A transient fault propagates after charging the bytes
+        already spent, with the session retained for the next heal.  A
+        stall discards the session and returns None so :meth:`heal`
+        escalates to the digest sweep.
         """
         session = self._session
         if session is None:
@@ -975,11 +1010,9 @@ class GuardedLink:
                 sync_source.block_size,
                 self.config.reconcile,
                 seed=self.config.seed + self.index,
+                dirty=self._dirty or None,
             )
             self._reconcile_charged = (0, 0, 0)
-        if self._dirty_since_resync:
-            session.invalidate(self._dirty_since_resync)
-            self._dirty_since_resync.clear()
         shipper = ResyncShipper(
             self.link, record_builder, session.config, session.report
         )
@@ -1054,4 +1087,4 @@ class GuardedLink:
         """A resync tier completed: the replica is caught up."""
         self.resync_required = False
         self._session = None
-        self._dirty_since_resync.clear()
+        self._dirty.clear()

@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING
 
 from repro.block.device import BlockDevice
 from repro.common.errors import ConfigurationError
-from repro.engine.resilience import LinkHealth
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.primary import PrimaryEngine
@@ -117,23 +116,14 @@ class ReadRouter:
     def _healthy(self) -> list[int]:
         """Readable replicas that are up to date (modulo in-flight work).
 
-        A guard in any non-HEALTHY state, holding backlog, or needing a
-        resync has records the replica never saw — its whole image is
+        A guard that is not :attr:`~repro.engine.resilience.GuardedLink
+        .fresh` has records the replica never saw — its whole image is
         suspect, not just single LBAs.
         """
         guards = self._guards
         if not guards:
             return self._readable
-        healthy = []
-        for j in self._readable:
-            guard = guards[j]
-            if (
-                guard.health is LinkHealth.HEALTHY
-                and not guard.backlog_depth
-                and not guard.needs_resync
-            ):
-                healthy.append(j)
-        return healthy
+        return [j for j in self._readable if guards[j].fresh]
 
     def _channel_load(self, index: int) -> int:
         """In-flight + queued submissions on channel ``index`` (0 if none)."""

@@ -382,9 +382,10 @@ class ShardedEngine(BlockDevice):
 class _ShardLinkGuards:
     """Read-only merged view of one link's guards across every shard.
 
-    Exposes exactly the fields cluster-level diagnostics consult
-    (:meth:`~repro.engine.cluster.StorageCluster.verify_detailed`):
-    lagging on *any* shard means the replica lags.
+    Exposes exactly the fields cluster-level diagnostics and failover
+    reads consult (:meth:`~repro.engine.cluster.StorageCluster
+    .verify_detailed`, :meth:`~repro.engine.cluster.StorageCluster
+    .read_from_replica`): lagging on *any* shard means the replica lags.
     """
 
     def __init__(self, index: int, guards: Sequence) -> None:
@@ -402,6 +403,10 @@ class _ShardLinkGuards:
     @property
     def forced_down(self) -> bool:
         return any(guard.forced_down for guard in self._guards)
+
+    @property
+    def fresh(self) -> bool:
+        return all(guard.fresh for guard in self._guards)
 
     @property
     def health(self) -> LinkHealth:

@@ -36,14 +36,19 @@ normal per-link submission.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.block.device import BlockDevice
 from repro.common.buffers import is_zero
-from repro.common.errors import ConfigurationError, ReplicationError, SyncError
+from repro.common.errors import (
+    ConfigurationError,
+    ReplicationError,
+    StaleReplicaError,
+    SyncError,
+)
 
 __all__ = [
     "FragmentView",
@@ -476,14 +481,19 @@ def repair_from_survivors(
     failed_index: int,
     replacement: BlockDevice | None = None,
     accountant=None,
+    fresh: Collection[int] | None = None,
 ) -> RepairReport:
     """Rebuild fragment ``failed_index`` from ``k`` surviving holders.
 
-    Reads fragment-sized pieces from the first ``k`` healthy holders,
-    solves the missing fragment per block (a pure
-    :func:`~repro.common.buffers.xor_bytes` fold when the coefficients
-    allow), and writes it to ``replacement`` (default: the failed
-    holder's device, assumed replaced/zeroed).  Charges the repair to
+    Reads fragment-sized pieces from the first ``k`` fresh holders
+    (``fresh`` lists the holder indices known to hold every write;
+    ``None`` trusts them all), solves the missing fragment per block (a
+    pure :func:`~repro.common.buffers.xor_bytes` fold when the
+    coefficients allow), and writes it to ``replacement`` (default: the
+    failed holder's device, assumed replaced/zeroed).  Raises
+    :class:`~repro.common.errors.StaleReplicaError` before writing
+    anything when fewer than ``k`` survivors are fresh — a rebuild from
+    a stale fragment would write garbage.  Charges the repair to
     ``accountant.record_repair`` when one is given, attributed to the
     failed fragment's channel — the per-fragment conservation law covers
     repair traffic too.
@@ -492,10 +502,16 @@ def repair_from_survivors(
         raise ConfigurationError(
             f"expected {codec.n} fragment holders, got {len(holders)}"
         )
-    survivors = tuple(i for i in range(codec.n) if i != failed_index)[: codec.k]
+    survivors = tuple(
+        i
+        for i in range(codec.n)
+        if i != failed_index and (fresh is None or i in fresh)
+    )[: codec.k]
     if len(survivors) < codec.k:
-        raise ReplicationError(
-            f"need {codec.k} survivors to repair fragment {failed_index}"
+        raise StaleReplicaError(
+            f"need {codec.k} fresh survivors to repair fragment "
+            f"{failed_index}, have {len(survivors)}: refusing to rebuild "
+            "from holders that missed writes"
         )
     dest = replacement if replacement is not None else holders[failed_index]
     num_blocks = dest.num_blocks

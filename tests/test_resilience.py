@@ -10,14 +10,20 @@ degradation story the ISSUE acceptance criteria demand.
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import ReplicationConfig, open_primary
 from repro.block import MemoryBlockDevice
 from repro.common.errors import (
     ConfigurationError,
     PartialReplicationError,
     ReplicationError,
     RetriesExhaustedError,
+    StaleReplicaError,
     SyncError,
 )
 from repro.common.rng import make_rng
@@ -37,6 +43,13 @@ from repro.engine import (
     StorageCluster,
     make_strategy,
     verify_consistency,
+)
+from repro.engine.messages import ReplicationRecord
+from repro.engine.reconcile import (
+    GROUP_SKETCH_OVERHEAD,
+    ReconcileConfig,
+    ReconcileSession,
+    ResyncShipper,
 )
 from repro.engine.replica import ACK_APPLIED, ACK_DUPLICATE
 from repro.engine.resilience import GuardedLink
@@ -839,6 +852,26 @@ class TestClusterDegradedMode:
         with pytest.raises(ReplicationError, match="no replica can serve"):
             cluster.read_from_replica(0, 5)
 
+    def test_failover_read_skips_a_replica_that_lost_a_delta(self):
+        """A DEGRADED replica with backlog is live but stale: a failover
+        read must not serve its pre-write image."""
+        cluster, faulty = _flaky_cluster(
+            fail_fraction=0.0,
+            config=ResilienceConfig(retry=RetryPolicy(max_attempts=1)),
+        )
+        cluster.write(0, 5, b"a" * BS)  # replicas of node 0: nodes 1 and 2
+        faulty[(0, 1)].fail_next(1, "drop")
+        cluster.write(0, 5, b"b" * BS)  # node 1 misses it
+        assert cluster.health()[(0, 1)] is LinkHealth.DEGRADED
+        cluster.fail_node(0)
+        assert cluster.read_from_replica(0, 5) == b"b" * BS  # served by 2
+        cluster.heal_node(0)
+        faulty[(0, 1)].fail_next(1, "drop")
+        faulty[(0, 2)].fail_next(1, "drop")
+        cluster.write(0, 5, b"c" * BS)  # now both replicas are stale
+        with pytest.raises(StaleReplicaError, match="no replica can serve"):
+            cluster.read_from_replica(0, 5)
+
     def test_degraded_read_routing(self):
         cluster, _ = _flaky_cluster(fail_fraction=0.0)
         cluster.write(0, 3, b"g" * BS)
@@ -1075,6 +1108,253 @@ class TestReconcileTier:
     def test_resync_mode_validated(self):
         with pytest.raises(ConfigurationError, match="resync"):
             ResilienceConfig(resync="rsync")
+
+
+# ---------------------------------------------------------------------------
+# Seeded reconcile: the remembered dirty set must be complete
+# ---------------------------------------------------------------------------
+
+
+def _outage_stack(redundancy: str = "mirror", **overrides):
+    """A 1024-block resilient stack with an 8 KiB backlog.
+
+    Returns ``(stack, victim, faulty)``: the channel an outage targets
+    (replica 1 of 2 mirrors, or the last parity holder at (4, 6), which
+    receives a delta for every write) and its :class:`FaultyLink`.
+    """
+    config = ReplicationConfig(
+        num_blocks=1024,
+        replicas=2,
+        redundancy=redundancy,
+        resilient=True,
+        backlog_capacity_bytes=8192,
+        **overrides,
+    )
+    victim = config.n - 1 if redundancy == "erasure" else 1
+    faulty: dict[int, FaultyLink] = {}
+
+    def factory(index, link):
+        if index == victim:
+            link = faulty[index] = FaultyLink(link)
+        return link
+
+    stack = open_primary(config, link_factory=factory)
+    return stack, victim, faulty[victim]
+
+
+def _row_update(engine, rng, lba: int, row: int = 300) -> None:
+    """Rewrite one ``row``-byte slice of block ``lba`` (a TPC-C row)."""
+    page = bytearray(engine.read_block(lba))
+    offset = int(rng.integers(0, len(page) - row))
+    page[offset : offset + row] = block(rng, row)
+    engine.write_block(lba, bytes(page))
+
+
+def _assert_converged(stack) -> None:
+    assert stack.verify()
+    outstanding = stack.engine.verify_traffic_conservation()
+    assert all(v == 0 for v in outstanding.values())
+
+
+class TestSeededReconcileCompleteness:
+    """A new reconcile session only sketches the groups holding an LBA the
+    guard remembers, so every LBA whose record the guard journaled,
+    suppressed or dropped must be remembered until the replica catches
+    up — evicted and failed-batch records included."""
+
+    @pytest.mark.parametrize("redundancy", ["mirror", "erasure"])
+    def test_lba_evicted_by_overflow_is_reconciled(self, rng, redundancy):
+        stack, victim, _ = _outage_stack(redundancy)
+        with stack:
+            engine = stack.engine
+            engine.fail_link(victim)
+            _row_update(engine, rng, 1000)  # journaled, then evicted
+            for i in range(40):
+                _row_update(engine, rng, i % 8)
+            assert engine.guards[victim].resync_required
+            outcome = engine.heal_link(victim)
+            assert outcome.tiers == ("reconcile",)
+            report = outcome.reconcile
+            assert report.groups_verified == report.groups_total
+            # seeded: only the groups of LBAs 0-7 and 1000 were sketched
+            per_group = 64 + GROUP_SKETCH_OVERHEAD  # 64 LBAs x 8 bits
+            assert report.sketch_bytes <= 2 * per_group * report.rounds
+            _assert_converged(stack)
+
+    @pytest.mark.parametrize("redundancy", ["mirror", "erasure"])
+    def test_write_during_suspended_heal_is_reconciled(self, rng, redundancy):
+        stack, victim, faulty = _outage_stack(redundancy, max_attempts=1)
+        with stack:
+            engine = stack.engine
+            engine.fail_link(victim)
+            _row_update(engine, rng, 1000)
+            for i in range(40):
+                _row_update(engine, rng, i % 8)
+            faulty.fail_next(1, "drop")  # the first shipped diff dies
+            with pytest.raises(ReplicationError):
+                engine.heal_link(victim)
+            assert engine.guards[victim].needs_resync
+            # land in a group outside the seed while the session waits
+            _row_update(engine, rng, 500)
+            outcome = engine.heal_link(victim)
+            assert outcome.tiers == ("reconcile",)
+            _assert_converged(stack)
+
+    def test_failed_batch_spanning_two_groups_is_reconciled(self, rng):
+        stack, victim, faulty = _outage_stack(batch_records=4)
+        with stack:
+            engine = stack.engine
+            _row_update(engine, rng, 10)  # group 0
+            _row_update(engine, rng, 100)  # group 1
+            faulty.fail_next(4, "drop")  # every retry of the batch drops
+            engine.flush_batch()
+            assert engine.guards[victim].backlog_depth == 2
+            engine.fail_link(victim)
+            for i in range(40):  # overflow evicts both batch records
+                _row_update(engine, rng, 512 + i % 8)
+            stack.drain()
+            assert engine.guards[victim].resync_required
+            outcome = engine.heal_link(victim)
+            assert outcome.tiers == ("reconcile",)
+            _assert_converged(stack)
+
+
+# ---------------------------------------------------------------------------
+# Property: every heal converges, balances, and ships what a scrub would
+# ---------------------------------------------------------------------------
+
+PROP_BS = 512
+PROP_BLOCKS = 256
+#: 16 groups of 16 LBAs, so a seed that misses a group is observable
+PROP_RECONCILE = ReconcileConfig(group_size=16)
+
+_replica_index = st.integers(0, 1)
+heal_ladder_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("write"),
+            st.integers(0, PROP_BLOCKS - 1),
+            st.integers(0, PROP_BS - 64),
+            st.binary(min_size=1, max_size=64),
+        ),
+        st.tuples(st.just("fail"), _replica_index),
+        st.tuples(st.just("drop"), _replica_index),
+        st.tuples(
+            st.just("overflow"),
+            _replica_index,
+            st.lists(st.integers(0, PROP_BLOCKS - 1), min_size=5, max_size=8),
+            st.integers(0, 2**16),
+        ),
+        st.tuples(st.just("fault_heal"), _replica_index),
+        st.tuples(st.just("heal"), _replica_index),
+    ),
+    max_size=30,
+)
+
+
+def _full_session_diff_bytes(source: bytes, dest: bytes) -> int:
+    """``diff_bytes`` of an unseeded session run on copies of two devices."""
+    src = MemoryBlockDevice(PROP_BS, PROP_BLOCKS)
+    dst = MemoryBlockDevice(PROP_BS, PROP_BLOCKS)
+    src.load(source)
+    dst.load(dest)
+    strategy = make_strategy("prins")
+    seq = itertools.count(1)
+
+    def builder(lba, new, old):
+        frame = strategy.encode_update(new, old)
+        if frame is None:
+            return None
+        return ReplicationRecord.for_block(next(seq), new, frame)
+
+    session = ReconcileSession(PROP_BLOCKS, PROP_BS, PROP_RECONCILE)
+    link = DirectLink(ReplicaEngine(dst, strategy))
+    shipper = ResyncShipper(link, builder, PROP_RECONCILE, session.report)
+    session.run(src, dst, shipper)
+    assert dst.snapshot() == source
+    return session.report.diff_bytes
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=heal_ladder_ops)
+def test_heal_ladder_converges_and_seeding_misses_nothing(ops):
+    """Random writes, outages, dropped deltas, overflows and faulted heals
+    on two inline replicas behind a 2 KiB backlog.  After every heal that
+    succeeds: the healed replica is byte-identical, its ledger balances
+    to zero, and a seeded session shipped exactly the bytes a full
+    session would have shipped from the same two devices — a stale seed
+    may cost more groups, never a missed block."""
+    faulty: dict[int, FaultyLink] = {}
+
+    def factory(index, link):
+        link = faulty[index] = FaultyLink(link)
+        return link
+
+    stack = open_primary(
+        ReplicationConfig(
+            block_size=PROP_BS,
+            num_blocks=PROP_BLOCKS,
+            replicas=2,
+            resilient=True,
+        ),
+        link_factory=factory,
+        resilience=ResilienceConfig(
+            retry=RetryPolicy(max_attempts=1),
+            backlog_capacity_bytes=2048,
+            reconcile=PROP_RECONCILE,
+        ),
+    )
+    engine = stack.engine
+    # a heal that raised leaves a session to resume; the next heal's
+    # report then covers more than one device-pair snapshot
+    resumed = [False, False]
+
+    def heal(r: int) -> None:
+        before = (stack.device.snapshot(), stack.replica_devices[r].snapshot())
+        try:
+            outcome = engine.heal_link(r)
+        except ReplicationError:
+            resumed[r] = True
+            return
+        assert stack.replica_devices[r].snapshot() == stack.device.snapshot()
+        assert engine.verify_traffic_conservation().get(r, 0) == 0
+        if outcome.mode == "reconcile" and not resumed[r]:
+            assert outcome.reconcile.diff_bytes == _full_session_diff_bytes(
+                *before
+            )
+        resumed[r] = False
+
+    with stack:
+        for op in ops:
+            kind, args = op[0], op[1:]
+            if kind == "write":
+                lba, offset, row = args
+                page = bytearray(engine.read_block(lba))
+                page[offset : offset + len(row)] = row
+                engine.write_block(lba, bytes(page))
+            elif kind == "fail":
+                engine.fail_link(args[0])
+            elif kind == "drop":
+                faulty[args[0]].fail_next(1, "drop")
+            elif kind == "overflow":
+                r, lbas, seed = args
+                engine.fail_link(r)
+                rng = make_rng(seed, "overflow")
+                for lba in lbas:
+                    engine.write_block(lba, block(rng))
+                assert engine.guards[r].needs_resync
+            elif kind == "fault_heal":
+                faulty[args[0]].fail_next(1, "drop")
+                heal(args[0])
+            else:
+                heal(args[0])
+        for link in faulty.values():
+            link.heal()
+        for r in (0, 1):
+            heal(r)
+        assert stack.verify()
+        outstanding = engine.verify_traffic_conservation()
+        assert all(v == 0 for v in outstanding.values())
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ReplicationConfig, open_cluster, open_primary
-from repro.common.errors import ConfigurationError, ReplicationError
+from repro.common.errors import (
+    ConfigurationError,
+    ReplicationError,
+    StaleReplicaError,
+)
 from repro.common.rng import make_rng
+from repro.engine import FaultyLink, LinkHealth
 from repro.engine.links import ReplicaLink
 
 BS = 64
@@ -235,6 +240,69 @@ def test_lost_holders_repair_from_survivors():
                 report.written_bytes for report in reports
             )
             stack.engine.verify_traffic_conservation()
+
+
+def _torn_stripe_stack(k: int, n: int):
+    """Holder 0 loses the delta of the second of two writes to LBA 3.
+
+    A dropped delta leaves the holder DEGRADED with backlog 1 — not DOWN —
+    so its fragment of LBA 3 still encodes the first write.  Returns
+    ``(stack, faulty_link_of_holder_0, new_data)``.
+    """
+    faulty = {}
+
+    def factory(index, link):
+        if index == 0:
+            link = faulty[0] = FaultyLink(link)
+        return link
+
+    config = _erasure_config(
+        strategy="prins", k=k, n=n, num_blocks=16, resilient=True
+    )
+    stack = open_primary(config, link_factory=factory)
+    rng = make_rng(71, "torn-stripe", k, n)
+    old, new = (rng.integers(0, 256, BS, dtype="u1").tobytes() for _ in "ab")
+    stack.engine.write_block(3, old)
+    stack.drain()
+    faulty[0].fail_next(10, kind="drop")
+    stack.engine.write_block(3, new)
+    stack.drain()
+    guard = stack.engine.guards[0]
+    assert guard.health is LinkHealth.DEGRADED and guard.backlog_depth == 1
+    return stack, faulty[0], new
+
+
+@pytest.mark.parametrize("k, n", GEOMETRIES)
+def test_striped_read_never_reassembles_a_torn_stripe(k, n):
+    stack, _, new = _torn_stripe_stack(k, n)
+    with stack:
+        assert stack.read_striped(3) == new
+        # with the stale holder's fresh peers excluded, fewer than k
+        # fresh fragments remain: refuse rather than reassemble garbage
+        with pytest.raises(StaleReplicaError):
+            stack.read_striped(3, exclude=tuple(range(1, n - k + 1)))
+
+
+@pytest.mark.parametrize("k, n", GEOMETRIES)
+def test_repair_never_rebuilds_from_a_stale_holder(k, n):
+    stack, faulty, _ = _torn_stripe_stack(k, n)
+    with stack:
+        lost = stack.replica_devices[1]
+        zeros = bytes(lost.block_size * lost.num_blocks)
+        lost.load(zeros)  # holder 1's disk is gone
+        if n - k == 1:
+            # only k - 1 fresh survivors: refuse, and write nothing
+            with pytest.raises(StaleReplicaError):
+                stack.repair_fragment(1)
+            assert lost.snapshot() == zeros
+        else:
+            stack.repair_fragment(1)  # from the k fresh survivors
+        faulty.heal()
+        assert stack.engine.heal_link(0).tiers == ("replay",)
+        if n - k == 1:
+            stack.repair_fragment(1)  # holder 0 is fresh again
+        assert stack.verify()
+        stack.engine.verify_traffic_conservation()
 
 
 def test_initial_image_full_syncs_fragment_holders():
