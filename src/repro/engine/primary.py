@@ -732,11 +732,10 @@ class PrimaryEngine(BlockDevice):
                         self.flush_batch()
                 return
             # Unbatched: assign sequence tickets in write order, then push
-            # the surviving payloads through one encode_payloads pass — the
-            # window shares a single codec dispatch (and, with a bound
-            # worker pool, scatters across codec worker processes) while
-            # frames, seqs, and accounting stay identical to the per-write
-            # path.
+            # the surviving payloads through one encode_payloads pass — one
+            # encode span (and, with a bound worker pool, a scatter across
+            # codec worker processes) while frames, seqs, and accounting
+            # stay identical to the per-write path.
             pending: list[tuple[int, bytes, bytes, int]] = []
             for lba, data, payload in zip(lbas, datas, payloads):
                 if payload is None:

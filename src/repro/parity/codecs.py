@@ -51,13 +51,19 @@ class Codec(ABC):
         """Invert :meth:`encode`; must return exactly ``original_length`` bytes."""
 
     def encode_many(self, datas: "Sequence[Buffer]") -> list[bytes]:
-        """Encode a batch of deltas; equivalent to mapping :meth:`encode`.
-
-        The default loops; vectorized codecs override to amortize their
-        per-call dispatch across the whole flush window (the batched path
-        :class:`repro.engine.batch.ShipBatcher` drains through).
-        """
+        """Encode a batch of deltas; equivalent to mapping :meth:`encode`."""
         return [self.encode(d) for d in datas]
+
+    def encode_below(self, data: Buffer, limit: int) -> bytes | None:
+        """Encode ``data``, or return None if the payload is ``>= limit`` bytes.
+
+        The frame layer (:func:`repro.parity.frame.encode_frame`) passes
+        the data's own length and ships the data raw on None.  The default
+        encodes and measures; a codec that can size its payload before
+        building it overrides to skip the build.
+        """
+        payload = self.encode(data)
+        return payload if len(payload) < limit else None
 
     def decode_into(
         self, payload: bytes, out: Union[bytearray, memoryview]

@@ -8,8 +8,16 @@ charge exact on-wire bytes.
 Frame layout (little-endian)::
 
     uint8   codec_id
-    uint32  original_length
+    uint32  original_length   (the data's length in bytes)
     bytes   payload
+
+Stored fallback: when the codec's payload would be at least as long as the
+data, the frame carries the data itself under the raw codec (id 0).  So no
+frame exceeds ``FRAME_OVERHEAD`` plus the data's length, on every path that
+frames (per-write, windows, worker pool, erasure fragments, resync, CDP
+log).  A raw frame means "this payload is the data": inside a PRINS stream
+the data is a parity delta, and the replica XOR-applies it like any other
+(:func:`decode_frame_xor_into`); baseline replicas overwrite the block.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from typing import Union
 
 from repro.common.errors import CodecError
 from repro.parity.codecs import Buffer, Codec, _writable_view, get_codec
+from repro.parity.raw import RAW
 
 _HEADER = struct.Struct("<BI")
 
@@ -27,24 +36,21 @@ FRAME_OVERHEAD = _HEADER.size
 
 
 def encode_frame(codec: Codec, data: Buffer) -> bytes:
-    """Encode ``data`` with ``codec`` and wrap it in a frame."""
-    payload = codec.encode(data)
-    return _HEADER.pack(codec.codec_id, len(data)) + payload
+    """Encode ``data`` with ``codec`` and wrap it in a frame.
+
+    Falls back to a raw frame of ``data`` when the codec does not shrink
+    it, so the frame is at most ``FRAME_OVERHEAD`` bytes over the data.
+    """
+    n = len(data) if isinstance(data, (bytes, bytearray)) else memoryview(data).nbytes
+    payload = codec.encode_below(data, n)
+    if payload is None:
+        return _HEADER.pack(RAW.codec_id, n) + data
+    return _HEADER.pack(codec.codec_id, n) + payload
 
 
 def encode_frames(codec: Codec, datas: "list[Buffer]") -> list[bytes]:
-    """Encode a batch of deltas into frames via :meth:`Codec.encode_many`.
-
-    Equivalent to mapping :func:`encode_frame`, but pays the codec's
-    per-call dispatch once for the whole flush window.
-    """
-    payloads = codec.encode_many(datas)
-    pack = _HEADER.pack
-    codec_id = codec.codec_id
-    return [
-        pack(codec_id, len(data)) + payload
-        for data, payload in zip(datas, payloads)
-    ]
+    """Encode a window of deltas into frames; maps :func:`encode_frame`."""
+    return [encode_frame(codec, data) for data in datas]
 
 
 def decode_frame(frame: bytes) -> bytes:

@@ -7,16 +7,22 @@ fact that a parity delta is zeros everywhere the write did not change the
 block.  Run lengths are varint-encoded so a 64 KB block of zeros costs three
 bytes.
 
-The encoder is a single vectorized pass: one boolean-diff span detection
-(:func:`repro.common.buffers.nonzero_spans`, O(n) independent of run count)
-followed by one ``b"".join`` gather of varint headers and zero-copy literal
-views — no growing ``bytearray`` and no per-byte work.  The wire format is
-unchanged and byte-identical to the historical loop encoder.
+The encoder works from a span plan: the ``(starts, ends)`` arrays of
+:func:`repro.common.buffers.nonzero_spans` at the codec's merge gap.  A
+:class:`PlannedDelta` carries the plan its producer found while computing
+the delta (``PrinsStrategy.make_update``), so the delta is scanned once
+between XOR and frame; any other input is scanned here.  From the plan,
+one ``b"".join`` gathers varint headers and zero-copy literal views.  For
+a one-span (dense) plan the payload size is known up front, so
+:meth:`ZeroRleCodec.encode_below` declines a payload that would not beat
+the raw block without assembling it, and the frame layer ships the block
+raw.  The wire format is unchanged and byte-identical to the historical
+loop encoder; a plan never changes a payload, only skips the scan.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -62,6 +68,30 @@ def _varint(value: int) -> bytes:
     if len(_VARINT_CACHE) < _VARINT_CACHE_MAX:
         _VARINT_CACHE[value] = encoded
     return encoded
+
+
+class PlannedDelta(bytes):
+    """A parity delta that carries its nonzero-span plan.
+
+    ``starts`` / ``ends`` are exactly ``nonzero_spans(self, merge_gap)``;
+    being ``bytes``, the delta cannot change under its plan.  A zero-RLE
+    codec with the same merge gap encodes from the plan instead of
+    rescanning; with any other gap, or in any other codec, it is plain
+    ``bytes``.
+    """
+
+    def __new__(
+        cls,
+        data: Buffer,
+        merge_gap: int,
+        starts: np.ndarray,
+        ends: np.ndarray,
+    ) -> "PlannedDelta":
+        self = super().__new__(cls, data)
+        self.merge_gap = merge_gap
+        self.starts = starts
+        self.ends = ends
+        return self
 
 
 def _write_varint(out: bytearray, value: int) -> None:
@@ -126,18 +156,18 @@ class ZeroRleCodec(Codec):
         """Zero gaps up to this length are encoded as literals."""
         return self._merge_gap
 
-    def encode(self, data: Buffer) -> bytes:
-        """Run-length encode the delta's zero gaps (Sec. 2's sparse P').
+    def _spans(self, data: Buffer) -> tuple[np.ndarray, np.ndarray]:
+        """The delta's span plan: carried by a :class:`PlannedDelta`, else scanned."""
+        if type(data) is PlannedDelta and data.merge_gap == self._merge_gap:
+            return data.starts, data.ends
+        return nonzero_spans(data, merge_gap=self._merge_gap)
 
-        One span-detection pass plus one gather: literal segments are
-        sliced as zero-copy ``memoryview`` s and joined with their varint
-        headers in a single ``b"".join`` (CPython's join accepts buffer
-        objects), so no intermediate copy of any literal is made.
-        """
-        starts, ends = nonzero_spans(data, merge_gap=self._merge_gap)
+    @staticmethod
+    def _assemble(data: Buffer, starts: np.ndarray, ends: np.ndarray) -> bytes:
+        """Gather varint headers and zero-copy literal views in one join."""
         if starts.size == 0:
             return b""
-        view = data if isinstance(data, memoryview) else memoryview(data)
+        view = memoryview(data).cast("B")  # spans are byte offsets
         parts: list[Buffer] = []
         cursor = 0
         for s, e in zip(starts.tolist(), ends.tolist()):
@@ -146,6 +176,33 @@ class ZeroRleCodec(Codec):
             parts.append(view[s:e])
             cursor = e
         return b"".join(parts)
+
+    def encode(self, data: Buffer) -> bytes:
+        """Run-length encode the delta's zero gaps (Sec. 2's sparse P').
+
+        One span plan plus one gather: literal segments are sliced as
+        zero-copy ``memoryview`` s and joined with their varint headers in
+        a single ``b"".join`` (CPython's join accepts buffer objects), so
+        no intermediate copy of any literal is made.
+        """
+        starts, ends = self._spans(data)
+        return self._assemble(data, starts, ends)
+
+    def encode_below(self, data: Buffer, limit: int) -> bytes | None:
+        """Encode, or return None when the payload would be ``>= limit`` bytes.
+
+        A one-span plan sizes its payload as ``varint(s) + varint(L) + L``
+        without assembling it — the dense-delta case, where the frame
+        layer then ships the block raw.
+        """
+        starts, ends = self._spans(data)
+        if starts.size == 1:
+            s = int(starts[0])
+            length = int(ends[0]) - s
+            if len(_varint(s)) + len(_varint(length)) + length >= limit:
+                return None
+        payload = self._assemble(data, starts, ends)
+        return payload if len(payload) < limit else None
 
     def decode(self, payload: bytes, original_length: int) -> bytes:
         """Expand zero runs and literals back into the original delta."""
@@ -227,31 +284,6 @@ class ZeroRleCodec(Codec):
             xor_into(view[cursor:end], payload[pos : pos + lit_len])
             pos += lit_len
             cursor = end
-
-    def encode_many(self, datas: "Sequence[Buffer]") -> list[bytes]:
-        """Encode a flush window of deltas in one pass per delta.
-
-        Span detection already amortizes well per call; the win here is
-        reusing one memoryview per input and skipping per-call attribute
-        lookups, which matters at batch sizes of 16–64 records.
-        """
-        merge_gap = self._merge_gap
-        out: list[bytes] = []
-        for data in datas:
-            starts, ends = nonzero_spans(data, merge_gap=merge_gap)
-            if starts.size == 0:
-                out.append(b"")
-                continue
-            view = data if isinstance(data, memoryview) else memoryview(data)
-            parts: list[Buffer] = []
-            cursor = 0
-            for s, e in zip(starts.tolist(), ends.tolist()):
-                parts.append(_varint(s - cursor))
-                parts.append(_varint(e - s))
-                parts.append(view[s:e])
-                cursor = e
-            out.append(b"".join(parts))
-        return out
 
 
 ZERO_RLE = register_codec(ZeroRleCodec())
