@@ -276,11 +276,13 @@ def nonzero_spans(
     rather than a Python loop.  Both returned arrays are ``intp`` and ready
     for direct fancy-indexed gathers.
 
-    Dense shortcut: when ``merge_gap >= 6``, the length is a multiple of 4
-    and no aligned 4-byte word is zero, no zero run is longer than 6 bytes,
-    so every gap merges and the answer is one span whose edges lie in the
-    first and last word.  One word count replaces the boundary scan; the
-    result is exactly the scan's.
+    Dense shortcut: when ``merge_gap >= 6``, the length is a multiple of 4,
+    the first and last bytes are nonzero and no aligned 4-byte word is
+    zero, no zero run is longer than 6 bytes, so every gap merges and the
+    answer is the one span ``(0, n)``.  One word count replaces the
+    boundary scan; the result is exactly the scan's.  The two byte probes
+    come first so a sparse delta (zero edges, as a rule) pays ~0.2 µs for
+    the check; a dense delta with a zero edge byte takes the scan.
     """
     if merge_gap < 0:
         raise ValueError(f"merge_gap must be non-negative, got {merge_gap}")
@@ -289,19 +291,10 @@ def nonzero_spans(
     if n == 0:
         empty = np.empty(0, dtype=np.intp)
         return empty, empty
-    if merge_gap >= _DENSE_MAX_ZERO_RUN and n % 4 == 0:
+    if merge_gap >= _DENSE_MAX_ZERO_RUN and n % 4 == 0 and arr[0] and arr[-1]:
         words = arr.view(np.uint32)
-        if (
-            words[0]
-            and words[-1]
-            and np.count_nonzero(words) == words.size
-        ):
-            start = 4 - len(arr[:4].tobytes().lstrip(b"\0"))
-            end = n - 4 + len(arr[-4:].tobytes().rstrip(b"\0"))
-            return (
-                np.array((start,), dtype=np.intp),
-                np.array((end,), dtype=np.intp),
-            )
+        if np.count_nonzero(words) == words.size:
+            return np.array((0,), dtype=np.intp), np.array((n,), dtype=np.intp)
     nz = arr != 0
     # Run boundaries are exactly the indices where the nonzero mask flips;
     # comparing the mask against itself shifted by one finds them in a

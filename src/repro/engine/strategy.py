@@ -16,18 +16,11 @@ from typing import Sequence
 
 from typing import Union
 
-import numpy as np
-
-from repro.common.buffers import (
-    is_zero,
-    nonzero_spans,
-    xor_blocks_pairwise,
-    xor_reduce_blocks,
-)
+from repro.common.buffers import is_zero, xor_blocks_pairwise, xor_reduce_blocks
 from repro.common.errors import ConfigurationError
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.parity.codecs import Buffer, Codec, get_codec
-from repro.parity.delta import backward_parity
+from repro.parity.delta import backward_parity, forward_parity
 from repro.parity.frame import (
     decode_frame,
     decode_frame_into,
@@ -35,7 +28,6 @@ from repro.parity.frame import (
     encode_frame,
     encode_frames,
 )
-from repro.parity.zero_rle import PlannedDelta, ZeroRleCodec
 
 
 class ReplicationStrategy(ABC):
@@ -306,12 +298,6 @@ class PrinsStrategy(ReplicationStrategy):
     ) -> None:
         self._codec = get_codec(codec) if isinstance(codec, str) else codec
         self._skip_unchanged = skip_unchanged
-        #: merge gap to plan deltas at, when the codec encodes from a plan
-        self._plan_gap = (
-            self._codec.merge_gap
-            if isinstance(self._codec, ZeroRleCodec)
-            else None
-        )
 
     @property
     def codec(self) -> Codec:
@@ -332,37 +318,17 @@ class PrinsStrategy(ReplicationStrategy):
         When the engine consulted its ``A_old`` cache, ``cache_hit``
         lands on the ``write.delta`` span so traces show which writes
         skipped the read-before-write.
-
-        One pass from XOR to plan: the XOR lands in a numpy array, the
-        zero-RLE span plan is read off that array, and an empty plan is
-        the skip test.  The delta comes back as a
-        :class:`~repro.parity.zero_rle.PlannedDelta`, so
-        :meth:`encode_payload` never rescans it.
         """
         if raid_delta is not None:
-            # P' came free from the RAID small write
-            delta = np.frombuffer(raid_delta, dtype=np.uint8)
+            delta = raid_delta  # P' came free from the RAID small write
         else:
             with self.telemetry.fine_span("write.delta") as span:
                 if cache_hit is not None:
                     span.set("cache_hit", cache_hit)
-                new = np.frombuffer(new_data, dtype=np.uint8)
-                old = np.frombuffer(old_data, dtype=np.uint8)
-                if new.size != old.size:
-                    raise ValueError(
-                        f"forward parity: length mismatch "
-                        f"({new.size} != {old.size})"
-                    )
-                delta = np.bitwise_xor(new, old)
-        gap = self._plan_gap
-        if gap is None:
-            if self._skip_unchanged and not delta.any():
-                return None
-            return delta.tobytes()
-        starts, ends = nonzero_spans(delta, gap)
-        if self._skip_unchanged and starts.size == 0:
+                delta = forward_parity(new_data, old_data)
+        if self._skip_unchanged and is_zero(delta):
             return None
-        return PlannedDelta(delta, gap, starts, ends)
+        return delta
 
     def make_updates(
         self,
@@ -384,8 +350,7 @@ class PrinsStrategy(ReplicationStrategy):
     def encode_payload(self, payload: bytes) -> bytes:
         """Encode a parity delta with the sparse-aware codec into a frame.
 
-        A :meth:`make_update` delta brings its span plan, so the codec
-        does not rescan it; a dense delta ships as a raw frame (see
+        A dense delta ships as a raw frame (see
         :func:`~repro.parity.frame.encode_frame`).
         """
         with self.telemetry.span("write.encode"):

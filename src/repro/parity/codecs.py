@@ -54,15 +54,16 @@ class Codec(ABC):
         """Encode a batch of deltas; equivalent to mapping :meth:`encode`."""
         return [self.encode(d) for d in datas]
 
-    def encode_below(self, data: Buffer, limit: int) -> bytes | None:
-        """Encode ``data``, or return None if the payload is ``>= limit`` bytes.
+    def encode_below(self, data: Buffer) -> bytes | None:
+        """Encode ``data``, or return None if the payload is not shorter.
 
-        The frame layer (:func:`repro.parity.frame.encode_frame`) passes
-        the data's own length and ships the data raw on None.  The default
-        encodes and measures; a codec that can size its payload before
-        building it overrides to skip the build.
+        The frame layer (:func:`repro.parity.frame.encode_frame`) ships
+        the data raw on None.  The default encodes and measures; a codec
+        that can size its payload before building it overrides to skip
+        the build.
         """
         payload = self.encode(data)
+        limit = memoryview(data).nbytes
         return payload if len(payload) < limit else None
 
     def decode_into(

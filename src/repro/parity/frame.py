@@ -42,7 +42,7 @@ def encode_frame(codec: Codec, data: Buffer) -> bytes:
     it, so the frame is at most ``FRAME_OVERHEAD`` bytes over the data.
     """
     n = len(data) if isinstance(data, (bytes, bytearray)) else memoryview(data).nbytes
-    payload = codec.encode_below(data, n)
+    payload = codec.encode_below(data)
     if payload is None:
         return _HEADER.pack(RAW.codec_id, n) + data
     return _HEADER.pack(codec.codec_id, n) + payload

@@ -1,8 +1,7 @@
-"""One pass from XOR to frame: span plans and the stored (raw) fallback.
+"""From XOR to frame: the dense span shortcut and the stored (raw) fallback.
 
 * ``nonzero_spans``' dense shortcut equals a reference scan at every merge
-  gap, and a :class:`~repro.parity.zero_rle.PlannedDelta` never changes a
-  payload — it only skips the scan;
+  gap;
 * no frame is longer than ``FRAME_OVERHEAD`` plus its data, for every
   registered codec, and every frame still decodes (plain and XOR-into);
 * every path that frames a delta — ``write_block``, ``write_many``
@@ -36,7 +35,6 @@ from repro.parity import (
     get_codec,
 )
 from repro.parity.frame import FRAME_OVERHEAD
-from repro.parity.zero_rle import PlannedDelta
 
 ZERO_RLE = get_codec("zero-rle")
 SIZES = [0, 64, 512, 8192, 65536]
@@ -118,10 +116,6 @@ def test_frames_never_exceed_the_block_and_round_trip(data, seed):
         block = bytearray(old.tobytes())
         decode_frame_xor_into(frame, block)
         assert bytes(block) == expect_new
-    # a plan is only a shortcut: same frame with, without or with a stale gap
-    for gap in (ZERO_RLE.merge_gap, 3):
-        planned = PlannedDelta(data, gap, *nonzero_spans(data, gap))
-        assert encode_frame(ZERO_RLE, planned) == encode_frame(ZERO_RLE, data)
 
 
 def test_dense_64k_delta_keeps_rle_only_when_it_beats_raw():
@@ -240,14 +234,13 @@ def test_resync_record_and_worker_pool_emit_identical_frames():
         engine._resync_record(lba, new, old).frame
         for lba, (new, old) in enumerate(zip(news, olds))
     ] == expected
-    planned = [
+    deltas = [
         make_strategy("prins").make_update(new, old)
         for new, old in zip(news, olds)
     ]
-    assert all(type(d) is PlannedDelta for d in planned)
+    assert deltas == _delta_mix()
     with CodecWorkerPool(worker_count=1, ring_slots=2, block_size=BS) as pool:
-        assert pool.encode_frames(ZERO_RLE, planned) == expected
-        assert pool.encode_frames(ZERO_RLE, _delta_mix()) == expected
+        assert pool.encode_frames(ZERO_RLE, deltas) == expected
 
 
 def test_erasure_fragments_emit_identical_frames():
