@@ -6,6 +6,13 @@ Leaves are chained for range scans.  Deletion is lazy — keys are removed
 from leaves without rebalancing, the standard simplification for
 insert-mostly workloads like TPC-C order entry.
 
+Each tree keeps its decoded nodes, keyed by page id, because the tree owns
+its node pages and every change to one goes through :meth:`BTree._write_node`
+or :meth:`BTree._new_node_page`.  A read still fetches the page from the
+buffer pool, so the pool's LRU order and every byte written back are the
+same as if each read decoded the page afresh.  Cached nodes are shared, so
+code that changes a node works on a :meth:`_Node.copy` and writes it back.
+
 Node wire format::
 
     uint8   is_leaf
@@ -41,6 +48,16 @@ class _Node:
     keys: list[int] = field(default_factory=list)
     rids: list[Rid] = field(default_factory=list)  # leaves only
     children: list[int] = field(default_factory=list)  # internal only
+
+    def copy(self) -> "_Node":
+        """A node whose lists can change without touching this one."""
+        return _Node(
+            self.is_leaf,
+            self.next_leaf,
+            self.keys.copy(),
+            self.rids.copy(),
+            self.children.copy(),
+        )
 
     def to_bytes(self) -> bytes:
         out = bytearray(
@@ -95,6 +112,7 @@ class BTree:
             raise StorageError(
                 f"page size {pool.page_size} too small for a B-tree node"
             )
+        self._nodes: dict[int, _Node] = {}
         self._root_id = self._new_node_page(_Node(is_leaf=True))
         self._size = 0
 
@@ -113,10 +131,17 @@ class BTree:
         page = self._pool.new_page(page_id)
         page.insert(node.to_bytes())
         self._pool.mark_dirty(page_id)
+        self._nodes[page_id] = node
         return page_id
 
     def _read_node(self, page_id: int) -> _Node:
-        return _Node.from_bytes(self._pool.fetch(page_id).read(0))
+        """The node in ``page_id``; shared with the cache, so never mutate it."""
+        page = self._pool.fetch(page_id)  # keeps the pool's LRU order exact
+        node = self._nodes.get(page_id)
+        if node is None:
+            node = _Node.from_bytes(page.read(0))
+            self._nodes[page_id] = node
+        return node
 
     def _write_node(self, page_id: int, node: _Node) -> None:
         page = self._pool.fetch(page_id)
@@ -131,6 +156,7 @@ class BTree:
             self._pool.mark_dirty(page_id)
         finally:
             self._pool.unpin(page_id)
+        self._nodes[page_id] = node
 
     # -- search ------------------------------------------------------------------
 
@@ -142,11 +168,12 @@ class BTree:
             return node.rids[index]
         return None
 
-    def _find_leaf(self, key: int) -> int:
+    def _find_leaf(self, key: int | None) -> int:
+        """Page id of the leaf for ``key``; the leftmost leaf when None."""
         page_id = self._root_id
         node = self._read_node(page_id)
         while not node.is_leaf:
-            index = _upper_bound(node.keys, key)
+            index = 0 if key is None else _upper_bound(node.keys, key)
             page_id = node.children[index]
             node = self._read_node(page_id)
         return page_id
@@ -155,7 +182,7 @@ class BTree:
         self, low: int | None = None, high: int | None = None
     ) -> Iterator[tuple[int, Rid]]:
         """Yield ``(key, rid)`` pairs with ``low <= key <= high``, in order."""
-        page_id = self._find_leaf(low if low is not None else -(2**62))
+        page_id = self._find_leaf(low)
         while page_id != -1:
             node = self._read_node(page_id)
             for key, rid in zip(node.keys, node.rids):
@@ -186,6 +213,7 @@ class BTree:
         """Insert under ``page_id``; returns ``(separator, new_page)`` on split."""
         node = self._read_node(page_id)
         if node.is_leaf:
+            node = node.copy()
             index = _lower_bound(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
                 node.rids[index] = rid  # overwrite existing mapping
@@ -200,6 +228,7 @@ class BTree:
             if split is None:
                 return None
             separator, new_child = split
+            node = node.copy()
             node.keys.insert(child_index, separator)
             node.children.insert(child_index + 1, new_child)
         if len(node.keys) <= self._max_entries:
@@ -208,6 +237,7 @@ class BTree:
         return self._split(page_id, node)
 
     def _split(self, page_id: int, node: _Node) -> tuple[int, int]:
+        """Split ``node``, a private copy that is not yet in the cache."""
         middle = len(node.keys) // 2
         if node.is_leaf:
             right = _Node(
@@ -243,6 +273,7 @@ class BTree:
         index = _lower_bound(node.keys, key)
         if index >= len(node.keys) or node.keys[index] != key:
             return False
+        node = node.copy()
         node.keys.pop(index)
         node.rids.pop(index)
         self._write_node(page_id, node)

@@ -92,6 +92,16 @@ class SlottedPage:
         position = self.size - (slot_id + 1) * SLOT_SIZE
         _SLOT.pack_into(self._buf, position, offset, length)
 
+    def _first_deleted_slot(self, slots: int) -> int | None:
+        """Lowest deleted slot id in a ``slots``-entry directory, or None."""
+        directory = self._buf[self.size - slots * SLOT_SIZE :]
+        offsets = [offset for offset, _ in _SLOT.iter_unpack(directory)]
+        offsets.reverse()  # the directory grows down: slot 0 is the last entry
+        try:
+            return offsets.index(_DELETED)
+        except ValueError:
+            return None
+
     # -- record operations --------------------------------------------------------
 
     def insert(self, record: bytes) -> int:
@@ -101,29 +111,23 @@ class SlottedPage:
         appended to the heap; space from deletions is reclaimed only by
         :meth:`compact`).
         """
-        reuse = next(
-            (
-                s
-                for s in range(self.slot_count)
-                if self._slot(s)[0] == _DELETED
-            ),
-            None,
-        )
+        _, slots, free_offset, _ = _HEADER.unpack_from(self._buf, 0)
+        reuse = self._first_deleted_slot(slots)
         needed = len(record) + (0 if reuse is not None else SLOT_SIZE)
-        directory_start = self.size - self.slot_count * SLOT_SIZE
-        if directory_start - self._free_offset < needed:
+        directory_start = self.size - slots * SLOT_SIZE
+        if directory_start - free_offset < needed:
             raise PageFullError(
                 f"record of {len(record)} bytes does not fit "
                 f"({self.free_space} free)"
             )
-        offset = self._free_offset
+        offset = free_offset
         self._buf[offset : offset + len(record)] = record
         if reuse is not None:
             slot_id = reuse
-            self._set_header(self.slot_count, offset + len(record))
+            self._set_header(slots, offset + len(record))
         else:
-            slot_id = self.slot_count
-            self._set_header(self.slot_count + 1, offset + len(record))
+            slot_id = slots
+            self._set_header(slots + 1, offset + len(record))
         self._set_slot(slot_id, offset, len(record))
         return slot_id
 

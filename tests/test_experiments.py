@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import struct
 
 import pytest
 
@@ -10,11 +12,15 @@ from repro.experiments.figures import SMALL, Scale, get_scale, run_experiment
 from repro.experiments.harness import (
     capture_fsmicro_trace,
     capture_tpcc_trace,
+    capture_tpcw_trace,
     measure_strategies,
 )
 from repro.experiments.testbed import testbed_table as render_testbed_table
+from repro.minidb import db as minidb_db
+from repro.minidb.buffer import BufferPool
 from repro.workloads.fsmicro import FsMicroConfig
 from repro.workloads.tpcc import TpccConfig
+from repro.workloads.tpcw import TpcwConfig
 
 TINY_TPCC = TpccConfig(
     warehouses=1, districts_per_warehouse=2, customers_per_district=5, items=50
@@ -68,6 +74,94 @@ class TestHarness:
         )
         assert rle["prins"].payload_bytes > 0
         assert zlib_variant["prins"].payload_bytes > 0
+
+
+PIN_TPCC = TpccConfig(warehouses=1, customers_per_district=20, items=200, seed=3)
+PIN_TPCW = TpcwConfig(items=300, initial_customers=50, seed=3)
+
+
+def _write_stream_digest(capture) -> str:
+    """SHA-256 over the base image, then each write as LBA (u64 LE) + data."""
+    digest = hashlib.sha256(capture.base_image)
+    for lba, data in capture.trace.writes:
+        digest.update(struct.pack("<Q", lba))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+class TestWriteStreamPin:
+    """minidb's block writes and buffer-pool decisions, byte for byte.
+
+    The small pools force evictions, so any change to which pages the pool
+    touches, and in what order, moves the write stream.  The counters are
+    the pool's ``(fetches, hits, evictions, writebacks)`` over the whole
+    capture, population included.
+    """
+
+    @pytest.mark.parametrize(
+        ("workload", "pool_capacity", "expected_digest", "writes", "counters"),
+        [
+            (
+                "tpcc",
+                8,
+                "6b738fc8e9d33698dcf92b7bf2e3d44826c074274a462bf009dd887d9f2ee868",
+                207,
+                (6765, 6359, 431, 266),
+            ),
+            (
+                "tpcc",
+                16,
+                "f8f15a7318659b13904cff51ae4a0ae7c6c1ccb863186ea647d23e7f20a6af7b",
+                169,
+                (6765, 6516, 266, 201),
+            ),
+            (
+                "tpcc",
+                512,
+                "b952bcfb3a9081ca54d10269980dba09c933c768da0fc348a779d19d1dd4d67e",
+                84,
+                (6765, 6765, 0, 113),
+            ),
+            (
+                "tpcw",
+                8,
+                "80535ae493433951e77efd864ef7ebe2611bd63a7244aac92c1265f438ea26b3",
+                119,
+                (3151, 2731, 445, 160),
+            ),
+            (
+                "tpcw",
+                512,
+                "c5aa623305ffdf83e8a3ea9741e42db6e83daa8e3fef80722f7c2c73ffd40907",
+                55,
+                (3151, 3151, 0, 83),
+            ),
+        ],
+        ids=["tpcc-pool8", "tpcc-pool16", "tpcc-pool512", "tpcw-pool8", "tpcw-pool512"],
+    )
+    def test_write_stream_and_pool_counters(
+        self, monkeypatch, workload, pool_capacity, expected_digest, writes, counters
+    ):
+        pools: list[BufferPool] = []
+
+        class RecordingPool(BufferPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(minidb_db, "BufferPool", RecordingPool)
+        if workload == "tpcc":
+            capture = capture_tpcc_trace(
+                8192, PIN_TPCC, transactions=40, pool_capacity=pool_capacity
+            )
+        else:
+            capture = capture_tpcw_trace(
+                8192, PIN_TPCW, interactions=80, pool_capacity=pool_capacity
+            )
+        (pool,) = pools
+        assert capture.trace.write_count == writes
+        assert _write_stream_digest(capture) == expected_digest
+        assert (pool.fetches, pool.hits, pool.evictions, pool.writebacks) == counters
 
 
 class TestScales:

@@ -10,6 +10,15 @@ from repro.common.errors import StorageError
 from repro.minidb.page import PageFullError, SlottedPage
 
 SIZE = 512
+_DELETED = 0xFFFF
+
+
+def _per_slot_free_slot(page: SlottedPage) -> int | None:
+    """The per-slot search ``insert`` used before its one-pass scan."""
+    return next(
+        (s for s in range(page.slot_count) if page._slot(s)[0] == _DELETED),
+        None,
+    )
 
 
 class TestSlottedPageBasics:
@@ -146,3 +155,83 @@ class TestPageProperty:
         reloaded = SlottedPage(1024, page.to_bytes())
         for slot, record in model.items():
             assert reloaded.read(slot) == record
+
+
+class TestFreeSlotChoice:
+    """``insert`` picks the slot the old per-slot search picked."""
+
+    def _assert_same_choice(self, page: SlottedPage) -> None:
+        expected = _per_slot_free_slot(page)
+        slots = page.slot_count
+        assert page._first_deleted_slot(slots) == expected
+        slot = page.insert(b"new")
+        assert slot == (expected if expected is not None else slots)
+        assert page.read(slot) == b"new"
+
+    def _page_with_deletes(self, deleted: list[int]) -> SlottedPage:
+        page = SlottedPage(SIZE)
+        for i in range(12):
+            page.insert(bytes([i + 1]) * 6)
+        for slot in deleted:
+            page.delete(slot)
+        return page
+
+    def test_no_deleted_slot(self):
+        self._assert_same_choice(self._page_with_deletes([]))
+
+    def test_empty_page(self):
+        self._assert_same_choice(SlottedPage(SIZE))
+
+    def test_lowest_deleted_slot_wins(self):
+        page = self._page_with_deletes([9, 3, 7, 11])
+        assert _per_slot_free_slot(page) == 3
+        self._assert_same_choice(page)
+        self._assert_same_choice(page)  # then 7
+
+    def test_slot_zero_and_last_slot(self):
+        self._assert_same_choice(self._page_with_deletes([11]))
+        self._assert_same_choice(self._page_with_deletes([11, 0]))
+
+    def test_rebuilt_page(self):
+        page = self._page_with_deletes([8, 5])
+        self._assert_same_choice(SlottedPage(SIZE, page.to_bytes()))
+
+    def test_after_compact(self):
+        page = self._page_with_deletes([10, 2, 6])
+        page.compact()
+        self._assert_same_choice(page)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.binary(min_size=1, max_size=12),
+                st.integers(0, 30),  # delete the n-th live slot, if any
+                st.just("compact"),
+                st.just("reload"),
+            ),
+            max_size=40,
+        )
+    )
+    def test_choice_matches_per_slot_search(self, steps):
+        page = SlottedPage(SIZE)
+        for step in steps:
+            if isinstance(step, bytes):
+                expected = _per_slot_free_slot(page)
+                slots = page.slot_count
+                try:
+                    slot = page.insert(step)
+                except PageFullError:
+                    continue
+                assert slot == (expected if expected is not None else slots)
+            elif isinstance(step, int):
+                live = page.live_slots()
+                if live:
+                    page.delete(live[step % len(live)])
+            elif step == "compact":
+                page.compact()
+            else:
+                page = SlottedPage(SIZE, page.to_bytes())
+            assert page._first_deleted_slot(page.slot_count) == (
+                _per_slot_free_slot(page)
+            )

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from repro.block import CountingDevice, MemoryBlockDevice
 from repro.common.errors import StorageError
 from repro.minidb import BTree, BufferPool, HeapFile
+from repro.minidb.btree import _Node
 from repro.minidb.heap import Rid
+from repro.minidb.page import SlottedPage
 
 BS = 512
 
@@ -201,6 +203,20 @@ class TestBTree:
             tree.insert(key, Rid(key, 0))
         assert [k for k, _ in tree.range_scan()] == list(range(20))
 
+    def test_open_ended_scan_reaches_keys_below_minus_2_62(self):
+        tree = self._tree(max_entries=4)
+        keys = [-(2**63) + i for i in range(20)] + [5, 6]
+        for key in keys:
+            tree.insert(key, Rid(0, 0))
+        assert [k for k, _ in tree.items()] == sorted(keys)
+        assert [k for k, _ in tree.range_scan(None, 0)] == sorted(keys)[:20]
+        assert [k for k, _ in tree.range_scan(-(2**63) + 18, None)] == [
+            -(2**63) + 18,
+            -(2**63) + 19,
+            5,
+            6,
+        ]
+
     def test_delete(self):
         tree = self._tree(max_entries=8)
         for key in range(50):
@@ -240,3 +256,113 @@ class TestBTree:
         for key, rid in model.items():
             assert tree.search(key) == rid
         assert [k for k, _ in tree.items()] == sorted(model)
+
+
+class _DecodingBTree(BTree):
+    """Reference tree: decode every node from its page, with no node cache."""
+
+    def _read_node(self, page_id: int) -> _Node:
+        return _Node.from_bytes(self._pool.fetch(page_id).read(0))
+
+
+def _assert_cache_matches_pages(tree: BTree, pool: BufferPool, device) -> None:
+    """Every cached node equals the decode of its page, resident or not.
+
+    Reads the page without going through ``pool.fetch`` so the check does
+    not disturb the pool's LRU order.
+    """
+    for page_id, node in tree._nodes.items():
+        page = pool._pages.get(page_id)
+        raw = page.to_bytes() if page is not None else device.read_block(page_id)
+        assert node == _Node.from_bytes(SlottedPage(BS, raw).read(0)), page_id
+
+
+def _pool_counters(pool: BufferPool) -> tuple[int, int, int, int]:
+    return pool.fetches, pool.hits, pool.evictions, pool.writebacks
+
+
+_SCAN_BOUND = st.one_of(st.none(), st.integers(-60, 360))
+
+
+class TestBTreeNodeCache:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        max_entries=st.integers(4, 8),
+        capacity=st.integers(1, 4),
+        operations=st.lists(
+            st.one_of(
+                st.tuples(st.just("put"), st.integers(-50, 350), st.integers(0, 99)),
+                st.tuples(st.just("del"), st.integers(-50, 350)),
+                st.tuples(st.just("get"), st.integers(-50, 350)),
+                st.tuples(st.just("scan"), _SCAN_BOUND, _SCAN_BOUND),
+            ),
+            max_size=100,
+        ),
+    )
+    def test_cache_is_exact(self, max_entries, capacity, operations):
+        """Cached tree == dict model == a tree that decodes every read.
+
+        The pool is small enough to evict, so the device images and pool
+        counters also check that the cache never skips a ``pool.fetch``.
+        """
+        pool, device, alloc = make_pool(capacity=capacity, blocks=2048)
+        ref_pool, ref_device, ref_alloc = make_pool(capacity=capacity, blocks=2048)
+        tree = BTree(pool, alloc, max_entries=max_entries)
+        reference = _DecodingBTree(ref_pool, ref_alloc, max_entries=max_entries)
+        model: dict[int, Rid] = {}
+        for op, *args in operations:
+            if op == "put":
+                key, page_id = args
+                tree.insert(key, Rid(page_id, key % 7))
+                reference.insert(key, Rid(page_id, key % 7))
+                model[key] = Rid(page_id, key % 7)
+            elif op == "del":
+                (key,) = args
+                present = key in model
+                assert tree.delete(key) == present
+                assert reference.delete(key) == present
+                model.pop(key, None)
+            elif op == "get":
+                (key,) = args
+                assert tree.search(key) == model.get(key)
+                assert reference.search(key) == model.get(key)
+            else:
+                low, high = args
+                expected = [
+                    (k, model[k])
+                    for k in sorted(model)
+                    if (low is None or k >= low) and (high is None or k <= high)
+                ]
+                assert list(tree.range_scan(low, high)) == expected
+                assert list(reference.range_scan(low, high)) == expected
+            _assert_cache_matches_pages(tree, pool, device)
+            assert device.snapshot() == ref_device.snapshot()
+            assert _pool_counters(pool) == _pool_counters(ref_pool)
+        assert list(tree.items()) == sorted(model.items())
+        assert len(tree) == len(model)
+        pool.flush()
+        ref_pool.flush()
+        assert device.snapshot() == ref_device.snapshot()
+
+    @pytest.mark.parametrize("budget", range(1, 9))
+    def test_failed_split_leaves_cache_in_step_with_pages(self, budget):
+        """A split that dies on ``allocate_page`` leaves no node ahead of its page."""
+        pool, device, alloc = make_pool(capacity=2, blocks=512)
+        remaining = [budget]
+
+        def limited_alloc() -> int:
+            if remaining[0] == 0:
+                raise StorageError("out of pages")
+            remaining[0] -= 1
+            return alloc()
+
+        tree = BTree(pool, limited_alloc, max_entries=4)
+        keys = list(range(0, 400, 7))
+        with pytest.raises(StorageError):
+            for key in keys:
+                tree.insert(key, Rid(key, 0))
+        _assert_cache_matches_pages(tree, pool, device)
+        cached = ([tree.search(key) for key in keys], list(tree.items()))
+        tree._nodes.clear()  # every read now decodes the page bytes
+        decoded = ([tree.search(key) for key in keys], list(tree.items()))
+        assert cached == decoded
