@@ -41,10 +41,6 @@ _NUMPY_CUTOFF = 512
 #: box; the crossover sits near 8 KB).
 _PAIRWISE_STACK_MAX = 8192
 
-#: Shared ``[0]`` index array prepended when a buffer starts nonzero; kept
-#: module-level so :func:`nonzero_spans` never allocates it per call.
-_ZERO_INDEX = np.zeros(1, dtype=np.intp)
-
 #: Longest zero run a buffer can hold when none of its aligned 4-byte
 #: words is zero: a run of 7 always covers one aligned word whole.
 _DENSE_MAX_ZERO_RUN = 6
@@ -264,59 +260,73 @@ def nonzero_fraction(buf: Buffer) -> float:
     return count_nonzero(buf) / n
 
 
-def nonzero_spans(
-    buf: Buffer, merge_gap: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return nonzero spans as numpy ``(starts, ends)`` arrays (end exclusive).
+def span_pairs(buf: Buffer, merge_gap: int = 0) -> list[tuple[int, int]]:
+    """Return nonzero spans as ``(start, end)`` pairs (end exclusive).
 
-    This is the vectorized kernel behind :func:`nonzero_runs` and the
-    single-pass codec encoders: a boolean diff finds every run boundary in
-    one O(n) pass whose cost does not depend on the number of runs, and the
-    ``merge_gap`` coalescing is a single keep-mask over the inter-span gaps
-    rather than a Python loop.  Both returned arrays are ``intp`` and ready
-    for direct fancy-indexed gathers.
+    Spans separated by at most ``merge_gap`` zero bytes are merged into
+    one.  This is the scan behind every sparse codec encoder, and its
+    Python cost grows with the number of spans, not the block size: one
+    numpy compare builds a nonzero indicator (``b"\\x01"`` per changed
+    byte), and the walk over it takes two C calls per span.
+    ``find(1, pos)`` is a ``memchr`` to the next span start;
+    ``find(bytes(merge_gap + 1), s)`` jumps to the first zero run too
+    long to merge, which is where the span ends; the last span ends after
+    the indicator's last 1.  The walk beats the fixed cost of a
+    vectorized boundary scan up to a few dozen spans, and a changed page
+    has a handful.
 
     Dense shortcut: when ``merge_gap >= 6``, the length is a multiple of 4,
     the first and last bytes are nonzero and no aligned 4-byte word is
     zero, no zero run is longer than 6 bytes, so every gap merges and the
     answer is the one span ``(0, n)``.  One word count replaces the
-    boundary scan; the result is exactly the scan's.  The two byte probes
+    indicator; the result is exactly the walk's.  The two byte probes
     come first so a sparse delta (zero edges, as a rule) pays ~0.2 µs for
-    the check; a dense delta with a zero edge byte takes the scan.
+    the check; a dense delta with a zero edge byte takes the walk.
     """
     if merge_gap < 0:
         raise ValueError(f"merge_gap must be non-negative, got {merge_gap}")
     arr = np.frombuffer(buf, dtype=np.uint8)
     n = arr.size
     if n == 0:
-        empty = np.empty(0, dtype=np.intp)
-        return empty, empty
+        return []
     if merge_gap >= _DENSE_MAX_ZERO_RUN and n % 4 == 0 and arr[0] and arr[-1]:
         words = arr.view(np.uint32)
         if np.count_nonzero(words) == words.size:
-            return np.array((0,), dtype=np.intp), np.array((n,), dtype=np.intp)
-    nz = arr != 0
-    # Run boundaries are exactly the indices where the nonzero mask flips;
-    # comparing the mask against itself shifted by one finds them in a
-    # single pass with no int8 cast or diff temporary (2-3x faster than the
-    # np.diff formulation at 64 KB).  Boundaries alternate start, end,
-    # start, end, … once the edges are patched in.
-    boundary = np.flatnonzero(nz[1:] != nz[:-1]) + 1
-    head: tuple = (boundary,)
-    if nz[0]:
-        head = (_ZERO_INDEX, boundary)
-    if nz[-1]:
-        boundary = np.concatenate(head + (np.array([arr.size], dtype=np.intp),))
-    elif len(head) > 1:
-        boundary = np.concatenate(head)
-    starts = boundary[0::2]
-    ends = boundary[1::2]
-    if merge_gap and starts.size > 1:
-        # Gap of zeros between consecutive spans; keep the boundary only
-        # where the gap exceeds the merge threshold.
-        keep = (starts[1:] - ends[:-1]) > merge_gap
-        starts = np.concatenate((starts[:1], starts[1:][keep]))
-        ends = np.concatenate((ends[:-1][keep], ends[-1:]))
+            return [(0, n)]
+    ind = (arr != 0).tobytes()
+    find = ind.find
+    start = find(1)
+    if start < 0:
+        return []
+    last = ind.rfind(1) + 1
+    skip = merge_gap + 1
+    sep = bytes(skip)
+    pairs: list[tuple[int, int]] = []
+    append = pairs.append
+    while True:
+        stop = find(sep, start, last)
+        if stop < 0:
+            append((start, last))
+            return pairs
+        append((start, stop))
+        # The ``skip`` zeros at ``stop`` lie before ``last``, so another
+        # span starts after them.
+        start = find(1, stop + skip)
+
+
+def nonzero_spans(
+    buf: Buffer, merge_gap: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return nonzero spans as numpy ``(starts, ends)`` ``intp`` arrays.
+
+    The array form of :func:`span_pairs` (same scan, same merge rule),
+    for callers that gather with the spans as fancy indices.
+    """
+    pairs = span_pairs(buf, merge_gap)
+    if not pairs:
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+    starts, ends = np.array(pairs, dtype=np.intp).T.copy()
     return starts, ends
 
 
@@ -332,7 +342,6 @@ def nonzero_runs(buf: Buffer, merge_gap: int = 0) -> list[tuple[int, int]]:
     few literal zero bytes but saves a per-run header and a Python-level
     loop iteration each.
 
-    Thin list-of-tuples wrapper over :func:`nonzero_spans`.
+    Thin ``(offset, length)`` wrapper over :func:`span_pairs`.
     """
-    starts, ends = nonzero_spans(buf, merge_gap)
-    return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
+    return [(s, e - s) for s, e in span_pairs(buf, merge_gap)]

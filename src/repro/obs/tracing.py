@@ -51,7 +51,6 @@ off.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 import zlib
@@ -101,7 +100,9 @@ class Span:
     @property
     def context(self) -> TraceContext:
         """This span's coordinates, for handing to another thread or node."""
-        return TraceContext(self.trace_id, self.span_id)
+        # What ``TraceContext(trace_id, span_id)`` does, minus the Python
+        # ``__new__`` frame the NamedTuple puts in front of it.
+        return tuple.__new__(TraceContext, (self.trace_id, self.span_id))
 
     def set(self, key: str, value) -> None:
         """Attach one attribute (JSON-safe values only, by convention)."""
@@ -227,15 +228,29 @@ class Tracer:
         # stitched across nodes keep distinct ids (deterministic per label).
         base = (zlib.crc32(node.encode()) << 20) if node else 0
         self._ids = itertools.count(base + 1)
-        # hot-path shortcut: span creation IS Span construction.  One
-        # partial covers both entry points because Span's signature is
-        # ``(tracer, name, ctx=None, **attrs)`` — span(name, **attrs)
-        # and span_in(name, ctx, **attrs) both map onto it directly.
-        # The instance attributes shadow the documented methods below.
-        self.span = self.span_in = functools.partial(Span, self)
-        self.fine_span = self.span if detail else _fine_span_off
+        # hot-path shortcut: one factory covers both entry points, since
+        # span(name, **attrs) and span_in(name, ctx, **attrs) both map
+        # onto ``(name, ctx=None, **attrs)``.  The instance attributes
+        # shadow the documented methods below.
+        self.span = self.span_in = self._open
+        self.fine_span = self._open if detail else _fine_span_off
 
     # -- span lifecycle ------------------------------------------------------
+
+    def _open(self, name: str, ctx: TraceContext | None = None, **attrs) -> Span:
+        """``Span(self, name, ctx, **attrs)``, built field by field.
+
+        Calling the class goes through ``type.__call__``, which packs the
+        arguments into a fresh tuple and dict for ``__init__``; one plain
+        call plus ``object.__new__`` skips that, and it is a visible
+        share of a live span's cost (four per PRINS write).
+        """
+        span = object.__new__(Span)
+        span._tracer = self
+        span.name = name
+        span.attrs = attrs
+        span._ctx = ctx
+        return span
 
     def span(self, name: str, **attrs) -> Span:
         """Open a new span; use ``with tracer.span("stage"): ...``."""
@@ -273,8 +288,7 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         if not stack:
             return None
-        top = stack[-1]
-        return TraceContext(top.trace_id, top.span_id)
+        return stack[-1].context
 
     @property
     def spans_finished(self) -> int:

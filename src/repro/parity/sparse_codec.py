@@ -7,9 +7,10 @@ access to segments — the representation the CDP/TRAP parity log stores,
 because point-in-time recovery wants to fold deltas without decoding whole
 blocks.
 
-Like :mod:`repro.parity.zero_rle`, the encoder is one vectorized span
-detection plus one ``b"".join`` gather of headers and zero-copy literal
-views; the wire format is byte-identical to the historical loop encoder.
+Like :mod:`repro.parity.zero_rle`, the encoder is one span scan
+(:func:`repro.common.buffers.span_pairs`) plus one ``b"".join`` gather
+of headers and zero-copy literal views; the wire format is byte-identical
+to the historical loop encoder.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import struct
 from typing import Union
 
-from repro.common.buffers import nonzero_spans, xor_into
+from repro.common.buffers import span_pairs, xor_into
 from repro.common.errors import CodecError
 from repro.parity.codecs import Buffer, Codec, _writable_view, register_codec
 
@@ -29,9 +30,9 @@ class SparseSegmentCodec(Codec):
     """Explicit segment-list encoding of nonzero ranges.
 
     Wire format: ``uint32 segment_count`` then ``segment_count`` records of
-    ``uint32 offset, uint32 length, length bytes``.  Adjacent runs closer
-    than :attr:`merge_gap` bytes are merged into one segment to amortize the
-    8-byte header over near-contiguous edits.
+    ``uint32 offset, uint32 length, length bytes``.  Adjacent runs separated
+    by at most :attr:`merge_gap` zero bytes are merged into one segment to
+    amortize the 8-byte header over near-contiguous edits.
     """
 
     codec_id = 3
@@ -44,27 +45,25 @@ class SparseSegmentCodec(Codec):
 
     @property
     def merge_gap(self) -> int:
-        """Runs separated by fewer than this many zero bytes are merged."""
+        """Runs separated by at most this many zero bytes are merged."""
         return self._merge_gap
 
     def segments(self, data: Buffer) -> list[tuple[int, int]]:
         """Return the merged ``(offset, length)`` segments for ``data``.
 
         The merge rule (coalesce spans separated by ``<= merge_gap`` zero
-        bytes) is exactly :func:`repro.common.buffers.nonzero_spans`'s
-        keep-mask, so this is now a single vectorized pass instead of a
-        detect-then-merge Python loop.
+        bytes) is exactly that of :func:`repro.common.buffers.span_pairs`, so
+        this is one scan instead of a detect-then-merge Python loop.
         """
-        starts, ends = nonzero_spans(data, merge_gap=self._merge_gap)
-        return [(int(s), int(e - s)) for s, e in zip(starts, ends)]
+        return [(s, e - s) for s, e in span_pairs(data, self._merge_gap)]
 
     def encode(self, data: Buffer) -> bytes:
         """Emit (offset, length, bytes) segments for each nonzero run."""
-        starts, ends = nonzero_spans(data, merge_gap=self._merge_gap)
+        spans = span_pairs(data, self._merge_gap)
         view = data if isinstance(data, memoryview) else memoryview(data)
-        parts: list[Buffer] = [_COUNT.pack(starts.size)]
+        parts: list[Buffer] = [_COUNT.pack(len(spans))]
         header = _HEADER.pack
-        for s, e in zip(starts.tolist(), ends.tolist()):
+        for s, e in spans:
             parts.append(header(s, e - s))
             parts.append(view[s:e])
         return b"".join(parts)

@@ -7,15 +7,15 @@ fact that a parity delta is zeros everywhere the write did not change the
 block.  Run lengths are varint-encoded so a 64 KB block of zeros costs three
 bytes.
 
-The encoder is one span scan plus one gather: the ``(starts, ends)``
-arrays of :func:`repro.common.buffers.nonzero_spans` at the codec's merge
-gap (a dense delta costs one word count there, not a boundary scan), then
-one ``b"".join`` of varint headers and zero-copy literal views.  For a
-one-span (dense) delta the payload size is known from the span alone, so
-:meth:`ZeroRleCodec.encode_below` declines a payload that would not beat
-the raw block without assembling it, and the frame layer ships the block
-raw.  The wire format is unchanged and byte-identical to the historical
-loop encoder.
+The encoder is one span scan plus one gather: the ``(start, end)`` pairs
+of :func:`repro.common.buffers.span_pairs` at the codec's merge gap (a
+dense delta costs one word count there, a sparse one two ``bytes.find``
+calls per span), then one ``b"".join`` of varint headers and zero-copy
+literal views.  For a one-span (dense) delta the payload size is known
+from the span alone, so :meth:`ZeroRleCodec.encode_below` declines a
+payload that would not beat the raw block without assembling it, and the
+frame layer ships the block raw.  The wire format is unchanged and
+byte-identical to the historical loop encoder.
 """
 
 from __future__ import annotations
@@ -24,13 +24,9 @@ from typing import Union
 
 import numpy as np
 
-from repro.common.buffers import nonzero_spans, xor_into
+from repro.common.buffers import _NUMPY_CUTOFF, span_pairs
 from repro.common.errors import CodecError
 from repro.parity.codecs import Buffer, Codec, _writable_view, register_codec
-
-#: Below this target size the per-literal :func:`xor_into` loop wins over
-#: hoisting numpy views of the whole target and payload.
-_FUSED_XOR_MIN = 2048
 
 #: single-byte varints (values < 128) precomputed — covers every gap and
 #: literal length under 128 bytes with a list index instead of arithmetic
@@ -111,7 +107,7 @@ class ZeroRleCodec(Codec):
 
     Wire format: repeated ``varint(zero_gap) varint(lit_len) lit_bytes``
     records.  The final zero tail is implicit — decoding pads with zeros to
-    ``original_length``.  Literal segments separated by fewer than
+    ``original_length``.  Literal segments separated by at most
     ``merge_gap`` zero bytes are coalesced (the stray zeros ship as
     literals), which keeps chance zeros inside a changed span from
     fragmenting it into hundreds of records.
@@ -131,15 +127,11 @@ class ZeroRleCodec(Codec):
         return self._merge_gap
 
     @staticmethod
-    def _assemble(
-        view: memoryview, starts: np.ndarray, ends: np.ndarray
-    ) -> bytes:
+    def _assemble(view: memoryview, spans: list[tuple[int, int]]) -> bytes:
         """Gather varint headers and zero-copy literal views in one join."""
-        if starts.size == 0:
-            return b""
         parts: list[Buffer] = []
         cursor = 0
-        for s, e in zip(starts.tolist(), ends.tolist()):
+        for s, e in spans:
             parts.append(_varint(s - cursor))  # zeros since last literal
             parts.append(_varint(e - s))
             parts.append(view[s:e])
@@ -155,8 +147,7 @@ class ZeroRleCodec(Codec):
         objects), so no intermediate copy of any literal is made.
         """
         view = memoryview(data).cast("B")  # spans are byte offsets
-        starts, ends = nonzero_spans(view, merge_gap=self._merge_gap)
-        return self._assemble(view, starts, ends)
+        return self._assemble(view, span_pairs(view, self._merge_gap))
 
     def encode_below(self, data: Buffer) -> bytes | None:
         """Encode, or return None when the payload would not beat ``data``.
@@ -168,13 +159,12 @@ class ZeroRleCodec(Codec):
         """
         view = memoryview(data).cast("B")  # spans are byte offsets
         limit = view.nbytes
-        starts, ends = nonzero_spans(view, merge_gap=self._merge_gap)
-        if starts.size == 1:
-            s = int(starts[0])
-            length = int(ends[0]) - s
-            if len(_varint(s)) + len(_varint(length)) + length >= limit:
+        spans = span_pairs(view, self._merge_gap)
+        if len(spans) == 1:
+            s, e = spans[0]
+            if len(_varint(s)) + len(_varint(e - s)) + e - s >= limit:
                 return None
-        payload = self._assemble(view, starts, ends)
+        payload = self._assemble(view, spans)
         return payload if len(payload) < limit else None
 
     def decode(self, payload: bytes, original_length: int) -> bytes:
@@ -220,42 +210,47 @@ class ZeroRleCodec(Codec):
         Zero gaps of the delta are XOR identities, so with ``out`` holding
         ``A_old`` only the changed spans are ever read or written — the
         cost is proportional to the write's dirtiness, not the block size.
+        Single-byte varints (every gap and length under 128) are read
+        inline.  A literal under ``_NUMPY_CUTOFF`` bytes is XORed as two
+        ``int.from_bytes`` values, below numpy's per-call floor; longer
+        ones take one in-place ufunc on numpy views of the target and
+        payload, made once per call.
         """
         view = _writable_view(out)
         original_length = view.nbytes
         payload_length = len(payload)
+        from_bytes = int.from_bytes
         pos = 0
         cursor = 0
-        if original_length >= _FUSED_XOR_MIN:
-            # Hoist one numpy view of the target and one of the payload;
-            # each literal is then a single in-place ufunc call on slices
-            # of those views instead of two frombuffer dispatches plus a
-            # payload bytes copy per literal (~2x cheaper per segment).
-            tv = np.frombuffer(view, dtype=np.uint8)
-            pv = np.frombuffer(payload, dtype=np.uint8)
-            while pos < payload_length:
-                gap, pos = _read_varint(payload, pos)
-                lit_len, pos = _read_varint(payload, pos)
-                cursor += gap
-                end = cursor + lit_len
-                if end > original_length or pos + lit_len > payload_length:
-                    raise CodecError(
-                        "zero-RLE payload overruns declared length"
-                    )
-                target = tv[cursor:end]
-                np.bitwise_xor(target, pv[pos : pos + lit_len], out=target)
-                pos += lit_len
-                cursor = end
-            return
+        tv = pv = None
         while pos < payload_length:
-            gap, pos = _read_varint(payload, pos)
-            lit_len, pos = _read_varint(payload, pos)
+            gap = payload[pos]
+            if gap & 0x80:
+                gap, pos = _read_varint(payload, pos)
+            else:
+                pos += 1
+            if pos < payload_length and not payload[pos] & 0x80:
+                lit_len = payload[pos]
+                pos += 1
+            else:
+                lit_len, pos = _read_varint(payload, pos)
             cursor += gap
             end = cursor + lit_len
-            if end > original_length or pos + lit_len > payload_length:
+            lit_end = pos + lit_len
+            if end > original_length or lit_end > payload_length:
                 raise CodecError("zero-RLE payload overruns declared length")
-            xor_into(view[cursor:end], payload[pos : pos + lit_len])
-            pos += lit_len
+            if lit_len < _NUMPY_CUTOFF:
+                view[cursor:end] = (
+                    from_bytes(view[cursor:end], "little")
+                    ^ from_bytes(payload[pos:lit_end], "little")
+                ).to_bytes(lit_len, "little")
+            else:
+                if tv is None:
+                    tv = np.frombuffer(view, dtype=np.uint8)
+                    pv = np.frombuffer(payload, dtype=np.uint8)
+                target = tv[cursor:end]
+                np.bitwise_xor(target, pv[pos:lit_end], out=target)
+            pos = lit_end
             cursor = end
 
 

@@ -365,29 +365,32 @@ class TestTargetServerShutdown:
 class TestStaleResponseDrain:
     """A retry after a timeout still finds its own response (ITT matching)."""
 
-    def _server(self, slow_calls):
+    def _server(self, hold=None):
         def handler(lba, frame):
-            if slow_calls and slow_calls.pop():
-                time.sleep(0.4)  # the ack leaves after the initiator gave up
+            if hold is not None and not hold.is_set():
+                # the ack leaves only once the initiator has given up
+                hold.wait(timeout=5)
             return bytes(frame)[:4]
 
         device = MemoryBlockDevice(BS, 16)
         return TargetServer(device, replication_handler=handler)
 
     def test_late_ack_is_drained_on_retry(self, transport_cls):
-        with self._server(slow_calls=[True]) as server:
+        hold = threading.Event()
+        with self._server(hold) as server:
             transport = transport_cls.connect(*server.address)
             initiator = Initiator(transport, timeout=0.2)
             initiator.login()
             with pytest.raises(TimeoutError):
                 initiator.send_replication_frame(1, b"lateXXXX")
+            hold.set()
             # the retry's receive meets the late ack first and skips it
             ack = initiator.send_replication_frame(1, b"next----")
             assert ack == b"next"
             initiator.logout()
 
     def test_duplicated_request_is_acked_twice_and_drained(self):
-        with self._server(slow_calls=[]) as server:
+        with self._server() as server:
             flaky = FlakyTransport(TcpTransport.connect(*server.address))
             initiator = Initiator(flaky, timeout=2)
             initiator.login()
