@@ -3,7 +3,7 @@
 Companion to ``scripts/bench_hotpath.py`` (which tracks absolute numbers
 in ``BENCH_hotpath.json``): these pytest-benchmark timings cover the same
 five stages — pairwise XOR, vectorized encode, scatter/XOR decode, the
-cached single-write path, and the batched flush — so a perf regression
+single-write path, and the batched flush — so a perf regression
 shows up in ordinary benchmark runs too, with correctness assertions on
 the side (the replica image must equal the primary image after every
 timed flush).
@@ -67,7 +67,7 @@ def test_decode_xor_into_window(benchmark, window_blocks):
     assert bytes(last) == news[-1]
 
 
-def _make_engine(num_blocks: int, *, batch: bool, cache: bool):
+def _make_engine(num_blocks: int, *, batch: bool):
     strategy = make_strategy("prins")
     primary = MemoryBlockDevice(BLOCK_SIZE, num_blocks)
     replica = MemoryBlockDevice(BLOCK_SIZE, num_blocks)
@@ -78,16 +78,14 @@ def _make_engine(num_blocks: int, *, batch: bool, cache: bool):
         primary,
         strategy,
         [DirectLink(ReplicaEngine(replica, strategy))],
-        old_block_cache=num_blocks if cache else None,
         **kwargs,
     )
     return engine, primary, replica
 
 
-@pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
-def test_single_write_path(benchmark, window_blocks, cache):
+def test_single_write_path(benchmark, window_blocks):
     olds, news = window_blocks
-    engine, primary, replica = _make_engine(1, batch=False, cache=cache)
+    engine, primary, replica = _make_engine(1, batch=False)
     primary.write_block(0, olds[0])
     replica.write_block(0, olds[0])
     state = {"flip": False}
@@ -96,19 +94,13 @@ def test_single_write_path(benchmark, window_blocks, cache):
         state["flip"] = not state["flip"]
         engine.write_block(0, news[0] if state["flip"] else olds[0])
 
-    write_once()  # warm the A_old cache: the timed path measures hits,
-    write_once()  # and the assertions hold even under --benchmark-disable
-
     benchmark(write_once)
     assert replica.snapshot() == primary.snapshot()
-    if cache:
-        snap = engine.old_block_cache.snapshot()
-        assert snap["hits"] > 0 and snap["misses"] <= 2
 
 
 def test_batched_flush_window(benchmark, window_blocks):
     olds, news = window_blocks
-    engine, primary, replica = _make_engine(WINDOW, batch=True, cache=True)
+    engine, primary, replica = _make_engine(WINDOW, batch=True)
     for lba, old in enumerate(olds):
         primary.write_block(lba, old)
         replica.write_block(lba, old)

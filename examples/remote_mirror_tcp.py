@@ -60,7 +60,6 @@ def main() -> None:
         [InitiatorLink(initiator)],
         verify_acks=CONFIG.verify_acks,
         batch=CONFIG.batch_config(),
-        old_block_cache=CONFIG.old_block_cache,
     )
 
     # ---- application: a small accounts database on the replicated device

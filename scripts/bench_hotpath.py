@@ -6,9 +6,9 @@ dirtiness levels and records ops/s and ns/op into ``BENCH_hotpath.json``
 so every perf PR lands with before/after numbers.
 
 The script is *feature-detecting*: it runs unmodified against older
-revisions of the engine (no ``write_many``, no ``old_block_cache``), so
-the same definition of each benchmark can capture a pre-optimization
-baseline and a post-optimization current run into one file::
+revisions of the engine (no ``write_many``), so the same definition of
+each benchmark can capture a pre-optimization baseline and a
+post-optimization current run into one file::
 
     # capture (or refresh) the slow-side numbers
     PYTHONPATH=src python scripts/bench_hotpath.py --role baseline
@@ -117,21 +117,12 @@ def _build_engine(block_size: int, num_blocks: int, batch: bool):
     kwargs = {}
     if batch:
         kwargs["batch"] = BatchConfig(max_records=WINDOW, max_bytes=1 << 30)
-    try:  # newer engines: bounded LRU serving A_old from memory
-        engine = PrimaryEngine(
-            primary,
-            strategy,
-            [DirectLink(ReplicaEngine(replica, strategy))],
-            old_block_cache=num_blocks,
-            **kwargs,
-        )
-    except TypeError:  # older engine: no cache knob
-        engine = PrimaryEngine(
-            primary,
-            strategy,
-            [DirectLink(ReplicaEngine(replica, strategy))],
-            **kwargs,
-        )
+    engine = PrimaryEngine(
+        primary,
+        strategy,
+        [DirectLink(ReplicaEngine(replica, strategy))],
+        **kwargs,
+    )
     return engine, primary, replica
 
 

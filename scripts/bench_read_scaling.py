@@ -19,8 +19,8 @@ headline gates:
 * **identity** — every routed read must return byte-identical data to a
   primary read (asserted inline during the run), and the shipped
   payload bytes + final primary/replica images must be identical across
-  every policy × shard combination (routing and sharding change *where
-  reads are served*, never what is written or stored).
+  every policy (routing changes *where reads are served*, never what is
+  written or stored).
 
 Usage::
 
@@ -63,18 +63,16 @@ READ_SERVICE_S = 0.0002  # simulated read service time per op
 
 POLICIES = ("primary", "replica", "least_loaded")
 REPLICA_COUNTS = (2, 4)
-SHARD_COUNTS = (1, 4)
 
 SMOKE_POLICIES = ("primary", "replica")
 SMOKE_REPLICA_COUNTS = (4,)
-SMOKE_SHARD_COUNTS = (1, 4)
 
 
-def _key(policy: str, replicas: int, shards: int, ops: int) -> str:
-    return f"{policy}/r{replicas}/s{shards}/{ops}"
+def _key(policy: str, replicas: int, ops: int) -> str:
+    return f"{policy}/r{replicas}/{ops}"
 
 
-def _build(policy: str, replicas: int, shards: int):
+def _build(policy: str, replicas: int):
     config = ReplicationConfig(
         block_size=BLOCK,
         num_blocks=BLOCKS,
@@ -84,7 +82,6 @@ def _build(policy: str, replicas: int, shards: int):
         window=8,
         link_latency_s=0.001,  # sim-clock latency: keeps work in flight
         read_policy=policy,
-        shards=shards,
     )
     return open_primary(config)
 
@@ -118,7 +115,7 @@ def _count_reads(stack):
 
 
 def _pump(engine):
-    """A callable advancing every shard's sim clock by one read's service.
+    """A callable advancing the engine's sim clock by one read's service.
 
     Reads take time on whichever server serves them; while they run,
     in-flight acks land.  Without this, sim time would stand still
@@ -126,16 +123,10 @@ def _pump(engine):
     until the final drain — unrealistically inflating the conflict rate
     (identically across policies, but still).
     """
-    from repro.engine import ShardedEngine
-
-    engines = (
-        list(engine.shards) if isinstance(engine, ShardedEngine) else [engine]
-    )
-    sims = [e.scheduler.sim for e in engines]
+    sim = engine.scheduler.sim
 
     def pump() -> None:
-        for sim in sims:
-            sim.run(sim.now + READ_SERVICE_S)
+        sim.run(sim.now + READ_SERVICE_S)
 
     return pump
 
@@ -157,8 +148,8 @@ def _workload(ops: int):
     return stream
 
 
-def _measure(policy: str, replicas: int, shards: int, ops: int) -> dict:
-    stack = _build(policy, replicas, shards)
+def _measure(policy: str, replicas: int, ops: int) -> dict:
+    stack = _build(policy, replicas)
     serving, counts, truth = _count_reads(stack)
     engine = stack.engine
     # warm the volume so reads have real bytes to disagree about
@@ -180,7 +171,7 @@ def _measure(policy: str, replicas: int, shards: int, ops: int) -> dict:
             if data != truth(step[1]):
                 raise AssertionError(
                     f"routed read of LBA {step[1]} diverged from the "
-                    f"primary's bytes ({policy}, r={replicas}, s={shards})"
+                    f"primary's bytes ({policy}, r={replicas})"
                 )
         else:
             engine.write_block(step[1], step[2])
@@ -193,9 +184,6 @@ def _measure(policy: str, replicas: int, shards: int, ops: int) -> dict:
     if policy == "primary":
         router = {"reads_primary": total_reads, "reads_replica": 0,
                   "reads_conflict": 0}
-    elif shards > 1:
-        router = {k: v for k, v in engine.router_snapshot().items()
-                  if k != "policy"}
     else:
         router = {k: v for k, v in engine.router.snapshot().items()
                   if k != "policy"}
@@ -214,19 +202,18 @@ def _measure(policy: str, replicas: int, shards: int, ops: int) -> dict:
     return result
 
 
-def bench_all(ops: int, policies, replica_counts, shard_counts) -> dict:
+def bench_all(ops: int, policies, replica_counts) -> dict:
     results: dict[str, dict] = {}
     for replicas in replica_counts:
-        for shards in shard_counts:
-            for policy in policies:
-                key = _key(policy, replicas, shards, ops)
-                results[key] = _measure(policy, replicas, shards, ops)
-                r = results[key]
-                print(
-                    f"  {key:28s} speedup {r['speedup']:>6.3f}x"
-                    f"  conflicts {r['reads_conflict']:>5,}"
-                    f"  {r['wall_ms']:>8.1f} ms"
-                )
+        for policy in policies:
+            key = _key(policy, replicas, ops)
+            results[key] = _measure(policy, replicas, ops)
+            r = results[key]
+            print(
+                f"  {key:28s} speedup {r['speedup']:>6.3f}x"
+                f"  conflicts {r['reads_conflict']:>5,}"
+                f"  {r['wall_ms']:>8.1f} ms"
+            )
     return results
 
 
@@ -235,7 +222,7 @@ def _identity_failures(results: dict) -> list[str]:
     failures = []
     by_shape: dict[tuple, dict[str, tuple]] = {}
     for key, r in results.items():
-        policy, rr, ss, ops = key.split("/")
+        policy, rr, ops = key.split("/")
         by_shape.setdefault((rr, ops), {})[key] = (
             r["payload_bytes"], r["image_sha"],
         )
@@ -254,7 +241,7 @@ def _check(results: dict, recorded_path: str, min_speedup: float) -> int:
     (1) all counts are deterministic, so every fresh number must match
     the recorded one exactly; (2) routed policies must hit the read
     speedup floor at 4 replicas; (3) payload bytes and final images
-    must be identical across every policy × shard cell of a shape.
+    must be identical across every policy of a shape.
     """
     recorded = json.loads(Path(recorded_path).read_text()).get("results", {})
     failures = []
@@ -271,7 +258,7 @@ def _check(results: dict, recorded_path: str, min_speedup: float) -> int:
                     f"{ref[field]} (routing changed? refresh artifact)"
                 )
     for key, fresh in sorted(results.items()):
-        policy, rr, _, _ = key.split("/")
+        policy, rr, _ = key.split("/")
         if policy == "primary" or rr != "r4":
             continue
         marker = "FAIL" if fresh["speedup"] < min_speedup else "ok"
@@ -330,18 +317,12 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"read-scaling benchmark (smoke={args.smoke})")
     if args.smoke:
-        results = bench_all(
-            SMOKE_OPS, SMOKE_POLICIES, SMOKE_REPLICA_COUNTS,
-            SMOKE_SHARD_COUNTS,
-        )
+        results = bench_all(SMOKE_OPS, SMOKE_POLICIES, SMOKE_REPLICA_COUNTS)
     else:
-        results = bench_all(OPS, POLICIES, REPLICA_COUNTS, SHARD_COUNTS)
+        results = bench_all(OPS, POLICIES, REPLICA_COUNTS)
         # full runs also capture the smoke keys so CI can gate exactly
         results.update(
-            bench_all(
-                SMOKE_OPS, SMOKE_POLICIES, SMOKE_REPLICA_COUNTS,
-                SMOKE_SHARD_COUNTS,
-            )
+            bench_all(SMOKE_OPS, SMOKE_POLICIES, SMOKE_REPLICA_COUNTS)
         )
 
     if args.check:
@@ -367,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
                 "speedup": "total_reads / max reads served by one server",
                 "wall_ms": "replay wall-clock, informational only",
             },
-            "key": "policy/r<replicas>/s<shards>/<ops>",
+            "key": "policy/r<replicas>/<ops>",
         },
         "results": results,
         "meta": {

@@ -1,12 +1,11 @@
 """The front door: one config object, two factories, zero wiring.
 
 Everything the PRINS engine can do — strategy choice, delta codecs,
-batched shipping, the A_old cache, fault tolerance, pipelined fan-out,
-telemetry — is reachable from a single frozen
-:class:`ReplicationConfig`.  Hand it to :func:`open_primary` for a
-one-primary/N-replica mirror stack, or to :func:`open_cluster` for the
-paper's Fig. 1 multi-node pool, and the factory does all the wiring the
-examples used to do by hand.
+batched shipping, fault tolerance, pipelined fan-out, telemetry — is
+reachable from a single frozen :class:`ReplicationConfig`.  Hand it to
+:func:`open_primary` for a one-primary/N-replica mirror stack, or to
+:func:`open_cluster` for the paper's Fig. 1 multi-node pool, and the
+factory does all the wiring the examples used to do by hand.
 
 Quick start::
 
@@ -47,7 +46,6 @@ from repro.engine.scheduler import (
     SchedulerConfig,
 )
 from repro.engine.workers import CodecWorkerPool
-from repro.engine.shard import ShardMap, ShardView, ShardedEngine
 from repro.engine.strategy import ReplicationStrategy, make_strategy
 from repro.engine.stripe import (
     RepairReport,
@@ -154,7 +152,7 @@ class ReplicationConfig:
       mirrors (see :mod:`repro.engine.stripe`);
     * **write path** — ``batch_records`` / ``batch_bytes`` (the
       :class:`~repro.engine.batch.ShipBatcher` window; ``batch_records=None``
-      ships per-write) and ``old_block_cache`` (A_old LRU slots);
+      ships per-write);
     * **fan-out** — ``fanout`` (``sequential``, the scheduler at window 1,
       or ``pipelined`` at ``window``) plus the latency policy every window
       meters: ``link_latency_s``, ``per_link_latency_s``,
@@ -169,12 +167,9 @@ class ReplicationConfig:
       GIL escape, scoped to encode-bound batch windows);
     * **scale-out** — ``read_policy`` (``primary`` = every read served
       locally, ``replica``/``least_loaded`` = conflict-free reads routed
-      across healthy replicas, :mod:`repro.engine.router`) and
-      ``shards`` (LBA-partitioned multi-primary: ``N`` independent
-      engines, each with its own scheduler/links/accounting,
-      :mod:`repro.engine.shard`).  The defaults (``1``/``"primary"``)
-      keep the wire and replica images bit-identical to the unsharded,
-      primary-serving engine;
+      across healthy replicas, :mod:`repro.engine.router`; in-process
+      links only).  The default (``"primary"``) keeps the wire and
+      replica images bit-identical to the primary-serving engine;
     * **fault policy** — ``resilient`` switches the engine to guarded
       links; ``max_attempts`` and ``backlog_capacity_bytes`` tune it;
       ``resync`` picks how an overflowed backlog is healed
@@ -202,7 +197,6 @@ class ReplicationConfig:
     # -- write path ------------------------------------------------------------
     batch_records: int | None = None
     batch_bytes: int = 256 * 1024
-    old_block_cache: int | None = None
     # -- fan-out ---------------------------------------------------------------
     fanout: str = "sequential"
     window: int = 8
@@ -216,7 +210,6 @@ class ReplicationConfig:
     ring_slots: int = 8
     # -- scale-out -------------------------------------------------------------
     read_policy: str = "primary"
-    shards: int = 1
     # -- fault policy ----------------------------------------------------------
     resilient: bool = False
     max_attempts: int = 4
@@ -273,10 +266,10 @@ class ReplicationConfig:
                     "the erasure tier ships fragments over inline links; "
                     'transport != "inline" requires redundancy="mirror"'
                 )
-            if self.shards > 1:
+            if self.read_policy != "primary":
                 raise ConfigurationError(
-                    "sharded multi-primaries wire replicas in-process; "
-                    'transport != "inline" requires shards=1'
+                    "routed reads need an in-process replica device; "
+                    'transport != "inline" requires read_policy="primary"'
                 )
         if self.resync not in _RESYNC_MODES:
             raise ConfigurationError(
@@ -290,15 +283,6 @@ class ReplicationConfig:
             raise ConfigurationError(
                 f"read_policy must be one of {READ_POLICIES}, "
                 f"got {self.read_policy!r}"
-            )
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
-        if self.shards > self.num_blocks:
-            raise ConfigurationError(
-                f"cannot split {self.num_blocks} blocks across "
-                f"{self.shards} shards"
             )
         if self.block_size < 1 or self.num_blocks < 1:
             raise ConfigurationError(
@@ -400,8 +384,8 @@ class ReplicationConfig:
     def codec_pool_instance(self) -> CodecWorkerPool | None:
         """A process codec pool per the concurrency fields, or ``None``.
 
-        Built once per :func:`open_primary` stack and shared by every
-        engine in it (shards included); the stack owns and closes it.
+        Built once per :func:`open_primary` stack; the stack owns and
+        closes it.
         """
         if self.workers != "process":
             return None
@@ -426,11 +410,9 @@ class ReplicationConfig:
             blocks_per_node=self.num_blocks,
             strategy=self.strategy,
             codec=self.codec,
-            old_block_cache=self.old_block_cache,
             redundancy=self.redundancy,
             k=self.k,
             n=self.n,
-            shards=self.shards,
             read_policy=self.read_policy,
         )
 
@@ -458,15 +440,11 @@ class ReplicationConfig:
 class PrimaryStack:
     """What :func:`open_primary` hands back: the engine plus its replicas.
 
-    ``engine`` is the wired :class:`~repro.engine.primary.PrimaryEngine`
-    (or, with ``shards > 1``, the
-    :class:`~repro.engine.shard.ShardedEngine` facade over the per-shard
-    engines); ``device`` its local store; ``replica_devices`` the N
-    mirror devices (inspect them to verify byte-identity — shard
-    engines write through views into these same shared devices, so the
-    images stay whole); ``replica_engines`` and ``links`` the plumbing
-    in between (shard-major order when sharded), exposed so tests can
-    wrap or fail individual channels.  Usable as a context manager —
+    ``engine`` is the wired :class:`~repro.engine.primary.PrimaryEngine`;
+    ``device`` its local store; ``replica_devices`` the N mirror devices
+    (inspect them to verify byte-identity); ``replica_engines`` and
+    ``links`` the plumbing in between, exposed so tests can wrap or fail
+    individual channels.  Usable as a context manager —
     exit drains in-flight fan-out and closes the engine.
 
     With ``redundancy="erasure"`` the ``replica_devices`` are the ``n``
@@ -477,7 +455,7 @@ class PrimaryStack:
     survivors at ``volume / k`` shipped bytes.
     """
 
-    engine: PrimaryEngine | ShardedEngine
+    engine: PrimaryEngine
     device: MemoryBlockDevice
     replica_devices: list[MemoryBlockDevice]
     replica_engines: list[ReplicaEngine]
@@ -529,9 +507,7 @@ class PrimaryStack:
         is raised — that is :meth:`drain`.
         """
         engine = self.engine
-        shards = engine.shards if isinstance(engine, ShardedEngine) else (engine,)
-        for shard in shards:
-            shard.scheduler.wait_idle()
+        engine.scheduler.wait_idle()
         codec = engine.stripe_codec
         if codec is not None:
             return not verify_fragments(codec, self.device, self.replica_devices)
@@ -552,8 +528,6 @@ class PrimaryStack:
 def open_primary(
     config: ReplicationConfig | None = None,
     *,
-    shards: int | None = None,
-    read_policy: str | None = None,
     initial_image: bytes | None = None,
     link_factory: Any = None,
     telemetry_name: str | None = None,
@@ -567,13 +541,6 @@ def open_primary(
     ``block_size / k``-sized device wired through the same links,
     scheduler, and resilience machinery.
 
-    ``shards`` / ``read_policy`` override the config fields of the same
-    name (convenience for ``open_primary(shards=4,
-    read_policy="replica")``); ``shards > 1`` returns a stack whose
-    engine is a :class:`~repro.engine.shard.ShardedEngine` over ``N``
-    independent per-shard primaries sharing the same whole-volume
-    devices through LBA-translating views.
-
     ``initial_image`` preloads the primary and full-syncs every replica
     (the paper's "after the initial sync" baseline; erasure stacks
     encode it onto every fragment holder).  ``link_factory``
@@ -584,23 +551,12 @@ def open_primary(
     (default ``api.primary`` when telemetry is live).  ``accountant``
     substitutes a pre-built
     :class:`~repro.engine.accounting.TrafficAccountant` (e.g. with
-    ``keep_raw=True`` for per-write payload samples; incompatible with
-    ``shards > 1``, where each shard owns its own ledger).
+    ``keep_raw=True`` for per-write payload samples).
     ``resilience`` overrides the config-derived fault policy with a
     hand-tuned :class:`~repro.engine.resilience.ResilienceConfig`
     (thresholds the flat config deliberately doesn't expose).
     """
     config = config or ReplicationConfig()
-    config = _override_scaleout(config, shards, read_policy)
-    if config.shards > 1:
-        return _open_sharded_primary(
-            config,
-            initial_image=initial_image,
-            link_factory=link_factory,
-            telemetry_name=telemetry_name,
-            accountant=accountant,
-            resilience=resilience,
-        )
     strategy = config.strategy_instance()
     stripe = config.stripe_config()
     device = MemoryBlockDevice(config.block_size, config.num_blocks)
@@ -658,7 +614,6 @@ def open_primary(
             else None
         ),
         batch=config.batch_config(),
-        old_block_cache=config.old_block_cache,
         scheduler=config.scheduler_config(),
         stripe=stripe,
         read_policy=config.read_policy,
@@ -707,130 +662,9 @@ def _replica_channel(
     return InitiatorLink(Initiator(TcpTransport.connect(host, port)))
 
 
-def _override_scaleout(
-    config: ReplicationConfig,
-    shards: int | None,
-    read_policy: str | None,
-) -> ReplicationConfig:
-    """Apply the factory-level ``shards``/``read_policy`` overrides."""
-    overrides: dict[str, Any] = {}
-    if shards is not None:
-        overrides["shards"] = shards
-    if read_policy is not None:
-        overrides["read_policy"] = read_policy
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
-
-
-def _open_sharded_primary(
-    config: ReplicationConfig,
-    *,
-    initial_image: bytes | None,
-    link_factory: Any,
-    telemetry_name: str | None,
-    accountant: Any,
-    resilience: ResilienceConfig | None,
-) -> PrimaryStack:
-    """The ``shards > 1`` build: N engines over views of shared devices.
-
-    The primary volume and every replica device stay whole; each shard
-    engine (and each shard's replica engines) reads and writes through
-    a :class:`~repro.engine.shard.ShardView`, so replica images remain
-    directly comparable to an unsharded run.
-    """
-    if accountant is not None:
-        raise ConfigurationError(
-            "shards > 1 gives each shard its own accountant; read the "
-            "summed view off stack.engine.accountant instead"
-        )
-    strategy = config.strategy_instance()
-    stripe = config.stripe_config()
-    telemetry = config.telemetry_instance()
-    shard_map = ShardMap(config.shards, config.num_blocks)
-    device = MemoryBlockDevice(config.block_size, config.num_blocks)
-    if initial_image is not None:
-        device.load(initial_image)
-    replica_devices: list[MemoryBlockDevice] = []
-    if stripe is not None:
-        fragment_size = config.block_size // stripe.k
-        replica_devices = [
-            MemoryBlockDevice(fragment_size, config.num_blocks)
-            for _ in range(stripe.n)
-        ]
-    else:
-        replica_devices = [
-            MemoryBlockDevice(config.block_size, config.num_blocks)
-            for _ in range(config.replicas)
-        ]
-        if initial_image is not None:
-            for replica_device in replica_devices:
-                full_sync(device, replica_device)
-    base_name = telemetry_name or (
-        "api.primary"
-        if config.telemetry or config.observability.enabled
-        else None
-    )
-    policy = (
-        resilience if resilience is not None else config.resilience_config()
-    )
-    codec_pool = config.codec_pool_instance()  # one pool, every shard
-    replica_engines: list[ReplicaEngine] = []
-    links: list[ReplicaLink] = []
-    engines: list[PrimaryEngine] = []
-    for shard in range(config.shards):
-        shard_links: list[ReplicaLink] = []
-        for index, replica_device in enumerate(replica_devices):
-            replica_engine = ReplicaEngine(
-                ShardView(replica_device, shard_map, shard), strategy
-            )
-            link: ReplicaLink = DirectLink(replica_engine)
-            if link_factory is not None:
-                link = link_factory(index, link)
-            replica_engines.append(replica_engine)
-            links.append(link)
-            shard_links.append(link)
-        engines.append(
-            PrimaryEngine(
-                ShardView(device, shard_map, shard),
-                strategy,
-                shard_links,
-                verify_acks=config.verify_acks,
-                resilience=policy,
-                telemetry=telemetry,
-                telemetry_name=(
-                    f"{base_name}.shard{shard}" if base_name else None
-                ),
-                batch=config.batch_config(),
-                old_block_cache=config.old_block_cache,
-                scheduler=config.scheduler_config(),
-                stripe=stripe,
-                read_policy=config.read_policy,
-                codec_pool=codec_pool,
-            )
-        )
-    engine = ShardedEngine(engines, shard_map, device)
-    if stripe is not None and initial_image is not None:
-        codec = engine.stripe_codec
-        assert codec is not None
-        stripe_full_sync(codec, device, replica_devices)
-    return PrimaryStack(
-        engine=engine,
-        device=device,
-        replica_devices=replica_devices,
-        replica_engines=replica_engines,
-        links=links,
-        config=config,
-        telemetry=telemetry,
-        codec_pool=codec_pool,
-    )
-
-
 def open_cluster(
     config: ReplicationConfig | None = None,
     *,
-    shards: int | None = None,
-    read_policy: str | None = None,
     placement: dict[int, list[int]] | None = None,
     link_factory: Any = None,
     resilience: ResilienceConfig | None = None,
@@ -842,13 +676,9 @@ def open_cluster(
     ``resilient=True`` config enables per-channel journaling and the
     fail/heal node lifecycle (``resilience=`` substitutes a hand-tuned
     policy); ``fanout="pipelined"`` widens every node's scheduler window
-    from 1 to ``window``.  ``shards`` / ``read_policy`` override the
-    config fields of the same name — ``open_cluster(shards=4,
-    read_policy="replica")`` gives every node an LBA-sharded
-    multi-primary whose conflict-free reads are served by its replicas.
+    from 1 to ``window``.
     """
     config = config or ReplicationConfig()
-    config = _override_scaleout(config, shards, read_policy)
     if config.transport != "inline":
         raise ConfigurationError(
             "open_cluster wires its nodes in-process; the tcp "

@@ -108,12 +108,11 @@ def _run_demo_workload(
 
     Everything is constructed through the :mod:`repro.api` front door:
     ``base_config`` is a :class:`~repro.api.ReplicationConfig` carrying
-    the user's knobs (batch window, A_old cache, fan-out mode, replica
-    count, …); the demo re-targets it per strategy with
-    :func:`dataclasses.replace` and hands it to
-    :func:`~repro.api.open_primary`.  Engines run with ``resilient=True``
-    so the resilience counters show up in the snapshot, matching a
-    production deployment.  ``emit`` is a ``print``-like callable (no-op
+    the user's knobs (batch window, fan-out mode, replica count, …); the
+    demo re-targets it per strategy with :func:`dataclasses.replace` and
+    hands it to :func:`~repro.api.open_primary`.  Engines run with
+    ``resilient=True`` so the resilience counters show up in the
+    snapshot, matching a production deployment.  ``emit`` is a ``print``-like callable (no-op
     when ``--json -`` owns stdout).
     """
     import dataclasses as _dc
@@ -151,10 +150,6 @@ def _run_demo_workload(
                 f"  [{accountant.pdus_shipped} PDUs, "
                 f"{accountant.writes_merged} writes merged]"
             )
-        cache = stack.engine.old_block_cache
-        if cache is not None:
-            snap = cache.snapshot()
-            line += f"  [A_old cache hit rate {snap['hit_rate']:.0%}]"
         emit(line)
         if stack.engine.stripe is not None:
             stripe = stack.engine.stripe
@@ -242,8 +237,6 @@ def _demo_config(args: argparse.Namespace):
     overrides: dict = {}
     if args.batch_window is not None:
         overrides["batch_records"] = args.batch_window
-    if args.old_block_cache is not None:
-        overrides["old_block_cache"] = args.old_block_cache
     if args.fanout is not None:
         overrides["fanout"] = args.fanout
     if args.window is not None:
@@ -258,8 +251,6 @@ def _demo_config(args: argparse.Namespace):
         overrides["k"] = args.k
     if args.n is not None:
         overrides["n"] = args.n
-    if args.shards is not None:
-        overrides["shards"] = args.shards
     if args.read_policy is not None:
         overrides["read_policy"] = args.read_policy
     if args.transport is not None:
@@ -511,13 +502,6 @@ def main(argv: list[str] | None = None) -> int:
         help="enable batched delta shipping with an N-record window",
     )
     p_demo.add_argument(
-        "--old-block-cache",
-        type=int,
-        default=None,
-        metavar="N",
-        help="N-slot LRU for A_old reads (skips read-before-write on hits)",
-    )
-    p_demo.add_argument(
         "--transactions",
         type=int,
         default=None,
@@ -562,13 +546,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help="total fragments per stripe for --redundancy erasure (default 6)",
-    )
-    p_demo.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="LBA shards per engine (multi-primary when > 1; default 1)",
     )
     p_demo.add_argument(
         "--read-policy",

@@ -20,7 +20,6 @@ The three strategies correspond exactly to the paper's three bars:
 
 from repro.common.errors import PartialReplicationError, RetriesExhaustedError
 from repro.engine.accounting import (
-    AggregateAccountant,
     ConservationError,
     ReplicaTraffic,
     TrafficAccountant,
@@ -60,7 +59,6 @@ from repro.engine.scheduler import (
     SimClock,
 )
 from repro.engine.workers import CodecWorkerPool
-from repro.engine.shard import ShardMap, ShardView, ShardedEngine
 from repro.engine.reconcile import (
     ReconcileConfig,
     ReconcileReport,
@@ -78,7 +76,6 @@ from repro.engine.sync import digest_sync, full_sync, verify_consistency
 from repro.engine.work import ShipWork
 
 __all__ = [
-    "AggregateAccountant",
     "BatchConfig",
     "BatchEntry",
     "CircuitBreaker",
@@ -111,9 +108,6 @@ __all__ = [
     "RetriesExhaustedError",
     "RetryPolicy",
     "SchedulerConfig",
-    "ShardMap",
-    "ShardView",
-    "ShardedEngine",
     "ShipBatch",
     "ShipBatcher",
     "ShipWork",

@@ -727,78 +727,3 @@ class TrafficAccountant:
         self.per_replica.clear()
         self.dropped_bytes = 0
 
-
-class AggregateAccountant:
-    """Read-only summed view over several shard accountants.
-
-    A :class:`~repro.engine.shard.ShardedEngine` gives each shard its
-    own :class:`TrafficAccountant` (independent write paths must not
-    contend on one ledger), but cluster-level consumers sum a handful
-    of counters off ``engine.accountant``.  This facade answers any
-    numeric counter (and the linear derived totals like
-    ``recovery_bytes``) as the sum across shards; the two ratio
-    metrics are recomputed from the summed numerators/denominators.
-    Mutating methods are deliberately absent — record traffic on the
-    shard accountants, never here.
-    """
-
-    def __init__(self, parts: "list[TrafficAccountant]") -> None:
-        if not parts:
-            raise ReplicationError("AggregateAccountant needs >= 1 part")
-        self._parts = list(parts)
-
-    @property
-    def parts(self) -> "tuple[TrafficAccountant, ...]":
-        """The per-shard accountants, in shard order."""
-        return tuple(self._parts)
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        values = [getattr(part, name) for part in self._parts]
-        if all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in values
-        ):
-            return sum(values)
-        raise AttributeError(
-            f"{name!r} is not a summable counter; read it off a shard "
-            "accountant (AggregateAccountant.parts)"
-        )
-
-    @property
-    def mean_payload(self) -> float:
-        """Mean replicated payload per non-skipped write, across shards."""
-        writes = sum(part.writes_replicated for part in self._parts)
-        if not writes:
-            return 0.0
-        return sum(part.payload_bytes for part in self._parts) / writes
-
-    @property
-    def reduction_vs_data(self) -> float:
-        """Summed data bytes / summed payload bytes."""
-        payload = sum(part.payload_bytes for part in self._parts)
-        data = sum(part.data_bytes for part in self._parts)
-        if not payload:
-            return math.inf if data else 1.0
-        return data / payload
-
-    def verify_conservation(self, **kwargs) -> "dict[int, dict[int, int]]":
-        """Check every shard's ledgers; ``{shard: {replica: outstanding}}``."""
-        return {
-            shard: part.verify_conservation(**kwargs)
-            for shard, part in enumerate(self._parts)
-        }
-
-    def snapshot(self) -> dict:
-        """JSON-safe aggregate: headline sums plus each shard's snapshot."""
-        return {
-            "shards": len(self._parts),
-            "writes_total": self.writes_total,
-            "writes_replicated": self.writes_replicated,
-            "payload_bytes": self.payload_bytes,
-            "data_bytes": self.data_bytes,
-            "mean_payload": self.mean_payload,
-            "recovery_bytes": self.recovery_bytes,
-            "per_shard": [part.snapshot() for part in self._parts],
-        }

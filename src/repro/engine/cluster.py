@@ -32,7 +32,6 @@ from repro.engine.replica import ReplicaEngine
 from repro.engine.resilience import LinkHealth, ResilienceConfig, ResyncOutcome
 from repro.engine.router import READ_POLICIES
 from repro.engine.scheduler import SchedulerConfig, fanout_config
-from repro.engine.shard import ShardMap, ShardView, ShardedEngine
 from repro.engine.strategy import ReplicationStrategy, make_strategy
 from repro.engine.stripe import FragmentView, RepairReport, StripeConfig
 from repro.engine.sync import verify_consistency
@@ -56,12 +55,9 @@ class ClusterConfig:
     are tolerated at ``n/k`` storage overhead instead of ``f + 1``
     full mirrors (:mod:`repro.engine.stripe`).
 
-    ``shards`` partitions each node's LBA space across that many
-    independent primary engines (:mod:`repro.engine.shard`), each with
-    its own scheduler/links/accounting; ``read_policy`` routes
-    conflict-free reads across healthy replicas
-    (:mod:`repro.engine.router`).  The defaults (``1``/``"primary"``)
-    keep the wire bit-identical to the unsharded cluster.
+    ``read_policy`` routes conflict-free reads across healthy replicas
+    (:mod:`repro.engine.router`).  The default (``"primary"``) keeps
+    the wire bit-identical to a primary-serving cluster.
     """
 
     nodes: int = 4
@@ -70,11 +66,9 @@ class ClusterConfig:
     blocks_per_node: int = 256
     strategy: str = "prins"
     codec: str | None = None  # delta/compression codec; None = strategy default
-    old_block_cache: int | None = None  # LRU slots for A_old; None = off
     redundancy: str = "mirror"  # "mirror" or "erasure"
     k: int = 4  # erasure data fragments per block
     n: int = 6  # erasure total fragments per block (k data + n-k parity)
-    shards: int = 1  # LBA partitions per node (multi-primary when > 1)
     read_policy: str = "primary"  # "primary" | "replica" | "least_loaded"
 
     def __post_init__(self) -> None:
@@ -102,10 +96,6 @@ class ClusterConfig:
             raise ConfigurationError(
                 "replicas_per_node must be in [1, nodes-1]"
             )
-        if self.old_block_cache is not None and self.old_block_cache < 1:
-            raise ConfigurationError(
-                "old_block_cache must be a positive capacity (or None)"
-            )
         if self.codec is not None and self.strategy == "traditional":
             raise ConfigurationError(
                 "the traditional strategy ships raw blocks and takes no codec"
@@ -115,21 +105,6 @@ class ClusterConfig:
                 f"read_policy must be one of {READ_POLICIES}, "
                 f"got {self.read_policy!r}"
             )
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
-        if self.shards > self.blocks_per_node:
-            raise ConfigurationError(
-                f"cannot split {self.blocks_per_node} blocks across "
-                f"{self.shards} shards"
-            )
-
-    def shard_map(self) -> ShardMap | None:
-        """The per-node LBA partition, or ``None`` when unsharded."""
-        if self.shards == 1:
-            return None
-        return ShardMap(self.shards, self.blocks_per_node)
 
     def stripe_config(self) -> StripeConfig | None:
         """The erasure code shape, or ``None`` for mirror redundancy."""
@@ -176,47 +151,21 @@ class ClusterNode:
         # one replica region per possible remote primary
         self.replica_regions: dict[int, BlockDevice] = {}
         self._replica_engines: dict[int, ReplicaEngine] = {}
-        # sharded hosting: one replica engine per (remote primary, shard),
-        # all writing through views into that primary's single region
-        self._shard_replica_engines: dict[tuple[int, int], ReplicaEngine] = {}
         self._strategy = strategy
         self._config = config
-        self.engine: "PrimaryEngine | ShardedEngine | None" = None  # wired by the cluster
-
-    def _region_for(self, primary_id: int) -> BlockDevice:
-        """Create (or return) the single region holding ``primary_id``'s data."""
-        region = self.replica_regions.get(primary_id)
-        if region is None:
-            region = MemoryBlockDevice(
-                self._config.region_block_size, self._config.blocks_per_node
-            )
-            self.replica_regions[primary_id] = region
-        return region
+        self.engine: PrimaryEngine | None = None  # wired by the cluster
 
     def host_replica_for(self, primary_id: int) -> ReplicaEngine:
         """Create (or return) the replica engine for ``primary_id``'s data."""
         if primary_id not in self._replica_engines:
+            region = MemoryBlockDevice(
+                self._config.region_block_size, self._config.blocks_per_node
+            )
+            self.replica_regions[primary_id] = region
             self._replica_engines[primary_id] = ReplicaEngine(
-                self._region_for(primary_id), self._strategy
+                region, self._strategy
             )
         return self._replica_engines[primary_id]
-
-    def host_replica_shard(
-        self, primary_id: int, shard: int, shard_map: ShardMap
-    ) -> ReplicaEngine:
-        """The replica engine for shard ``shard`` of ``primary_id``'s data.
-
-        Every shard engine applies into a :class:`ShardView` of the same
-        whole region, so the hosted image stays directly comparable to
-        the primary's volume regardless of the shard count.
-        """
-        key = (primary_id, shard)
-        if key not in self._shard_replica_engines:
-            self._shard_replica_engines[key] = ReplicaEngine(
-                ShardView(self._region_for(primary_id), shard_map, shard),
-                self._strategy,
-            )
-        return self._shard_replica_engines[key]
 
 
 def round_robin_placement(config: ClusterConfig) -> dict[int, list[int]]:
@@ -267,65 +216,26 @@ class StorageCluster:
         self.placement = placement or round_robin_placement(self.config)
         self._validate_placement()
         self._down_nodes: set[int] = set()
-        shard_map = self.config.shard_map()
         for node in self.nodes:
-            if shard_map is None:
-                links: list[ReplicaLink] = []
-                for replica_id in self.placement[node.node_id]:
-                    link: ReplicaLink = DirectLink(
-                        self.nodes[replica_id].host_replica_for(node.node_id)
-                    )
-                    if link_factory is not None:
-                        link = link_factory(node.node_id, replica_id, link)
-                    links.append(link)
-                node.engine = PrimaryEngine(
-                    node.primary_device,
-                    self._strategy,
-                    links,
-                    resilience=resilience,
-                    telemetry=self.telemetry,
-                    telemetry_name=f"cluster.node{node.node_id}",
-                    batch=batch,
-                    old_block_cache=self.config.old_block_cache,
-                    scheduler=self._scheduler_config,
-                    stripe=self.config.stripe_config(),
-                    read_policy=self.config.read_policy,
+            links: list[ReplicaLink] = []
+            for replica_id in self.placement[node.node_id]:
+                link: ReplicaLink = DirectLink(
+                    self.nodes[replica_id].host_replica_for(node.node_id)
                 )
-                continue
-            # multi-primary: one engine per LBA shard, all writing through
-            # views into this node's single primary volume, each shipping
-            # to per-shard replica engines that share the remote regions
-            shard_engines: list[PrimaryEngine] = []
-            for shard in range(self.config.shards):
-                links = []
-                for replica_id in self.placement[node.node_id]:
-                    link = DirectLink(
-                        self.nodes[replica_id].host_replica_shard(
-                            node.node_id, shard, shard_map
-                        )
-                    )
-                    if link_factory is not None:
-                        link = link_factory(node.node_id, replica_id, link)
-                    links.append(link)
-                shard_engines.append(
-                    PrimaryEngine(
-                        ShardView(node.primary_device, shard_map, shard),
-                        self._strategy,
-                        links,
-                        resilience=resilience,
-                        telemetry=self.telemetry,
-                        telemetry_name=(
-                            f"cluster.node{node.node_id}.shard{shard}"
-                        ),
-                        batch=batch,
-                        old_block_cache=self.config.old_block_cache,
-                        scheduler=self._scheduler_config,
-                        stripe=self.config.stripe_config(),
-                        read_policy=self.config.read_policy,
-                    )
-                )
-            node.engine = ShardedEngine(
-                shard_engines, shard_map, node.primary_device
+                if link_factory is not None:
+                    link = link_factory(node.node_id, replica_id, link)
+                links.append(link)
+            node.engine = PrimaryEngine(
+                node.primary_device,
+                self._strategy,
+                links,
+                resilience=resilience,
+                telemetry=self.telemetry,
+                telemetry_name=f"cluster.node{node.node_id}",
+                batch=batch,
+                scheduler=self._scheduler_config,
+                stripe=self.config.stripe_config(),
+                read_policy=self.config.read_policy,
             )
         if self.telemetry.enabled:
             self.telemetry.register_source("cluster", self.telemetry_snapshot)
@@ -548,29 +458,24 @@ class StorageCluster:
             assert engine is not None
             engine.fail_link(index)
 
-    def heal_node(
-        self, node_id: int
-    ) -> dict[int, ResyncOutcome | list[ResyncOutcome]]:
+    def heal_node(self, node_id: int) -> dict[int, ResyncOutcome]:
         """Reconnect ``node_id`` and catch up every replica it hosts.
 
         Returns ``{primary_id: outcome}`` describing, per inbound channel,
         which recovery tier ran (backlog replay, set reconciliation, or
-        the digest-sweep fallback) and what it cost on the wire.  On a
-        sharded cluster each value is a list — one outcome per shard.
+        the digest-sweep fallback) and what it cost on the wire.
         """
         self._require_resilience("heal_node")
         self._check_node(node_id)
         self._down_nodes.discard(node_id)
-        outcomes: dict[int, ResyncOutcome | list[ResyncOutcome]] = {}
+        outcomes: dict[int, ResyncOutcome] = {}
         for primary_id, index in self._links_to(node_id):
             engine = self.nodes[primary_id].engine
             assert engine is not None
             outcomes[primary_id] = engine.heal_link(index)
         return outcomes
 
-    def repair_node(
-        self, node_id: int
-    ) -> dict[int, RepairReport | list[RepairReport]]:
+    def repair_node(self, node_id: int) -> dict[int, RepairReport]:
         """Rebuild every fragment hosted on ``node_id`` from survivors.
 
         The erasure tier's replacement path for a node that is *lost*
@@ -587,7 +492,7 @@ class StorageCluster:
             raise ReplicationError(
                 f"node {node_id} is down; heal_node it before repair"
             )
-        reports: dict[int, RepairReport | list[RepairReport]] = {}
+        reports: dict[int, RepairReport] = {}
         for primary_id, index in self._links_to(node_id):
             engine = self.nodes[primary_id].engine
             assert engine is not None
@@ -599,15 +504,11 @@ class StorageCluster:
             reports[primary_id] = engine.repair_fragment(index)
         return reports
 
-    def heal_all(
-        self,
-    ) -> dict[tuple[int, int], ResyncOutcome | list[ResyncOutcome]]:
+    def heal_all(self) -> dict[tuple[int, int], ResyncOutcome]:
         """Heal every channel in the cluster; returns per-pair outcomes."""
         self._require_resilience("heal_all")
         self._down_nodes.clear()
-        outcomes: dict[
-            tuple[int, int], ResyncOutcome | list[ResyncOutcome]
-        ] = {}
+        outcomes: dict[tuple[int, int], ResyncOutcome] = {}
         for node in self.nodes:
             assert node.engine is not None
             for index, replica_id in enumerate(self.placement[node.node_id]):

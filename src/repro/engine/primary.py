@@ -38,7 +38,6 @@ from functools import partial
 from typing import Sequence
 
 from repro.block.device import BlockDevice
-from repro.block.lru import BlockCache
 from repro.common.buffers import is_zero
 from repro.common.errors import (
     BlockSizeError,
@@ -183,7 +182,6 @@ class PrimaryEngine(BlockDevice):
         telemetry=None,
         telemetry_name: str | None = None,
         batch: BatchConfig | None = None,
-        old_block_cache: int | None = None,
         fanout: str = "sequential",
         scheduler: "SchedulerConfig | None" = None,
         stripe: StripeConfig | None = None,
@@ -231,21 +229,8 @@ class PrimaryEngine(BlockDevice):
             if self._stripe_codec is not None and strategy.needs_old_data
             else None
         )
-        # Bounded LRU of last-written block images: serves A_old (the Eq. 1
-        # read-before-write) from memory for hot LBAs.  Only useful when the
-        # strategy actually consumes old data; RAID primaries get P' free
-        # from the small-write path and never read A_old here.
-        self._old_cache = (
-            BlockCache(old_block_cache)
-            if old_block_cache and strategy.needs_old_data
-            else None
-        )
         self.accountant = accountant if accountant is not None else TrafficAccountant()
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        # pre-resolved cache counters: the consult path ticks one of these
-        # per write, so the registry name lookup is paid once, not per write
-        self._cache_hit_counter = self.telemetry.counter("cache.old_block.hits")
-        self._cache_miss_counter = self.telemetry.counter("cache.old_block.misses")
         self._strategy.bind_telemetry(self.telemetry)
         if self._codec_pool is not None:
             self._codec_pool.bind_telemetry(self.telemetry)
@@ -314,11 +299,6 @@ class PrimaryEngine(BlockDevice):
     def scheduler(self) -> FanoutScheduler:
         """The fan-out scheduler every replication ships through."""
         return self._scheduler
-
-    @property
-    def old_block_cache(self) -> BlockCache | None:
-        """The ``A_old`` LRU cache, or ``None`` when disabled/inapplicable."""
-        return self._old_cache
 
     @property
     def stripe(self) -> StripeConfig | None:
@@ -575,50 +555,25 @@ class PrimaryEngine(BlockDevice):
             return self._router.read(lba)
         return self._device.read_block(lba)
 
-    def _read_old_block(self, lba: int) -> tuple[bytes, bool | None]:
-        """Fetch ``A_old`` for ``lba``, consulting the LRU cache first.
-
-        Returns ``(old_data, cache_hit)``; ``cache_hit`` is None when no
-        cache is configured (so the span attribute is only emitted for
-        cache-enabled engines) and the telemetry cache counters tick on
-        every consult.
-        """
-        cache = self._old_cache
-        if cache is None:
-            return self._device.read_block(lba), None
-        old_data = cache.get(lba)
-        if old_data is not None:
-            self._cache_hit_counter.inc()
-            return old_data, True
-        self._cache_miss_counter.inc()
-        return self._device.read_block(lba), False
-
     def _write(self, lba: int, data: bytes) -> None:
         """Local write + replication: the paper's full write path."""
         tel = self.telemetry
         with tel.span("write", lba=lba) as span:
             old_data: bytes | None = None
             raid_delta: bytes | None = None
-            cache_hit: bool | None = None
             with tel.fine_span("write.local"):
                 if self._raid is not None:
                     # The array's small-write path computes P' anyway (Eq. 1).
                     raid_delta = self._raid.write_block_with_delta(lba, data)
                 else:
                     if self._strategy.needs_old_data:
-                        old_data, cache_hit = self._read_old_block(lba)
+                        old_data = self._device.read_block(lba)
                     self._device.write_block(lba, data)
-                    if self._old_cache is not None:
-                        # data is already immutable bytes (write_block's
-                        # contract), so the cache holds a reference, not a
-                        # copy: the block just written IS the next A_old.
-                        self._old_cache.put(lba, data)
             if self._stripe_codec is not None:
                 payload = self._strategy.make_update(
                     data,
                     old_data if old_data is not None else b"",
                     raid_delta=raid_delta,
-                    cache_hit=cache_hit,
                 )
                 if payload is None:
                     span.set("skipped", True)
@@ -631,7 +586,6 @@ class PrimaryEngine(BlockDevice):
                     data,
                     old_data if old_data is not None else b"",
                     raid_delta=raid_delta,
-                    cache_hit=cache_hit,
                 )
                 if payload is None:
                     span.set("skipped", True)
@@ -649,7 +603,6 @@ class PrimaryEngine(BlockDevice):
                 data,
                 old_data if old_data is not None else b"",
                 raid_delta=raid_delta,
-                cache_hit=cache_hit,
             )
             if frame is None:
                 span.set("skipped", True)
@@ -667,9 +620,8 @@ class PrimaryEngine(BlockDevice):
         Semantically identical to calling :meth:`write_block` in order
         (same replica bytes, same accounting, same sequence numbers), but
         the per-write compute is vectorized: all ``A_old`` reads resolve
-        up front (cache → device, with same-window staging so the second
-        write to an LBA sees the first as its old data), every Eq. 1 XOR
-        collapses into one
+        up front (with same-window staging so the second write to an LBA
+        sees the first as its old data), every Eq. 1 XOR collapses into one
         :meth:`~repro.engine.strategy.ReplicationStrategy.make_updates`
         kernel call, and — on batched engines — the payloads land in the
         :class:`~repro.engine.batch.ShipBatcher` whose drain encodes the
@@ -699,7 +651,6 @@ class PrimaryEngine(BlockDevice):
                     raise BlockSizeError(self._block_size, len(data))
                 lbas.append(lba)
                 datas.append(data if isinstance(data, bytes) else bytes(data))
-            cache = self._old_cache
             olds: list[bytes] = []
             if strategy.needs_old_data:
                 with tel.span("write.local", batch=len(writes)):
@@ -709,11 +660,9 @@ class PrimaryEngine(BlockDevice):
                         if prev is not None:
                             olds.append(prev)
                         else:
-                            olds.append(self._read_old_block(lba)[0])
+                            olds.append(self._device.read_block(lba))
                         staged[lba] = data
                         self._device.write_block(lba, data)
-                        if cache is not None:
-                            cache.put(lba, data)
             else:
                 with tel.span("write.local", batch=len(writes)):
                     for lba, data in zip(lbas, datas):
@@ -1027,8 +976,6 @@ class PrimaryEngine(BlockDevice):
                 "pending_records": len(self._batcher),
                 "pending_bytes": self._batcher.pending_bytes,
             }
-        if self._old_cache is not None:
-            snapshot["old_block_cache"] = self._old_cache.snapshot()
         if self._codec_pool is not None:
             snapshot["codec_pool"] = self._codec_pool.snapshot()
         if self._stripe_codec is not None:

@@ -81,7 +81,6 @@ class ReplicationStrategy(ABC):
         new_data: Buffer,
         old_data: Buffer,
         raid_delta: bytes | None = None,
-        cache_hit: bool | None = None,
     ) -> bytes | None:
         """Return the pre-encoding update payload for this write, or None to skip.
 
@@ -91,10 +90,6 @@ class ReplicationStrategy(ABC):
         the primary's device provides one (see
         :meth:`repro.raid.parity_base.ParityArrayBase.write_block_with_delta`).
         ``None`` means the write changed nothing worth replicating.
-        ``cache_hit`` reports whether ``old_data`` came from the engine's
-        :class:`~repro.block.lru.BlockCache` (None when no cache is
-        configured); delta strategies surface it as the
-        ``write.delta`` span's ``cache_hit`` attribute.
         """
 
     def make_updates(
@@ -131,7 +126,6 @@ class ReplicationStrategy(ABC):
         new_data: Buffer,
         old_data: Buffer,
         raid_delta: bytes | None = None,
-        cache_hit: bool | None = None,
     ) -> bytes | None:
         """Return the frame to ship for this write, or None to skip.
 
@@ -140,9 +134,7 @@ class ReplicationStrategy(ABC):
         (:mod:`repro.engine.batch`) can merge same-LBA payloads *before*
         paying the encoding cost.
         """
-        payload = self.make_update(
-            new_data, old_data, raid_delta=raid_delta, cache_hit=cache_hit
-        )
+        payload = self.make_update(new_data, old_data, raid_delta=raid_delta)
         if payload is None:
             return None
         return self.encode_payload(payload)
@@ -205,10 +197,9 @@ class FullBlockStrategy(ReplicationStrategy):
         new_data: Buffer,
         old_data: Buffer,
         raid_delta: bytes | None = None,
-        cache_hit: bool | None = None,
     ) -> bytes | None:
         """The update payload is the new block itself (no delta, no skip)."""
-        del old_data, raid_delta, cache_hit
+        del old_data, raid_delta
         return new_data if isinstance(new_data, bytes) else bytes(new_data)
 
     def encode_payload(self, payload: bytes) -> bytes:
@@ -248,10 +239,9 @@ class CompressedBlockStrategy(ReplicationStrategy):
         new_data: Buffer,
         old_data: Buffer,
         raid_delta: bytes | None = None,
-        cache_hit: bool | None = None,
     ) -> bytes | None:
         """The update payload is the new block (compression happens at encode)."""
-        del old_data, raid_delta, cache_hit
+        del old_data, raid_delta
         return new_data if isinstance(new_data, bytes) else bytes(new_data)
 
     def encode_payload(self, payload: bytes) -> bytes:
@@ -309,22 +299,16 @@ class PrinsStrategy(ReplicationStrategy):
         new_data: Buffer,
         old_data: Buffer,
         raid_delta: bytes | None = None,
-        cache_hit: bool | None = None,
     ) -> bytes | None:
         """Return the parity delta ``P' = A_new XOR A_old`` (paper Eq. 1).
 
         Uses the precomputed RAID ``raid_delta`` when available; returns
         None when the delta is all zeros and ``skip_unchanged`` is set.
-        When the engine consulted its ``A_old`` cache, ``cache_hit``
-        lands on the ``write.delta`` span so traces show which writes
-        skipped the read-before-write.
         """
         if raid_delta is not None:
             delta = raid_delta  # P' came free from the RAID small write
         else:
-            with self.telemetry.fine_span("write.delta") as span:
-                if cache_hit is not None:
-                    span.set("cache_hit", cache_hit)
+            with self.telemetry.fine_span("write.delta"):
                 delta = forward_parity(new_data, old_data)
         if self._skip_unchanged and is_zero(delta):
             return None

@@ -56,7 +56,7 @@ class TestReplicationConfig:
             codec="zlib",
             replicas=3,
             batch_records=16,
-            old_block_cache=64,
+            read_policy="replica",
             fanout="pipelined",
             window=4,
             per_link_latency_s=(0.001, 0.002, 0.004),
@@ -130,14 +130,38 @@ class TestConcurrencyConfig:
             ReplicationConfig(transport="tcp", resilient=True)
         with pytest.raises(ConfigurationError):
             ReplicationConfig(transport="tcp", redundancy="erasure")
+
+    @pytest.mark.parametrize("policy", ["replica", "least_loaded"])
+    def test_tcp_rejects_routed_reads(self, policy):
+        # an InitiatorLink has no sync device, so the router could never
+        # find an eligible replica: every read would stay on the primary
         with pytest.raises(ConfigurationError):
-            ReplicationConfig(transport="tcp", shards=2)
+            ReplicationConfig(transport="tcp", read_policy=policy)
+        with pytest.raises(ConfigurationError):
+            ReplicationConfig.from_dict(
+                {"transport": "tcp", "read_policy": policy}
+            )
 
     def test_asyncio_transport_rejected(self):
         with pytest.raises(ConfigurationError):
             ReplicationConfig(transport="asyncio")
         with pytest.raises(ConfigurationError):
             ReplicationConfig.from_dict({"transport": "asyncio"})
+
+    @pytest.mark.parametrize("key", ["shards", "old_block_cache"])
+    def test_removed_config_keys_rejected(self, key):
+        with pytest.raises(ConfigurationError):
+            ReplicationConfig.from_dict({key: 2})
+        with pytest.raises(TypeError):
+            ReplicationConfig(**{key: 2})
+
+    @pytest.mark.parametrize("flag", ["--shards", "--old-block-cache"])
+    def test_removed_demo_flags_rejected(self, flag):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["demo", flag, "2"])
+        assert exit_info.value.code == 2
 
     def test_scheduler_config_carries_worker_fields(self):
         config = ReplicationConfig(
@@ -279,18 +303,6 @@ class TestConcurrencyConfig:
         assert set(multiprocessing.active_children()) <= children_before
         stack.close()  # idempotent once torn down
 
-    def test_sharded_close_after_failed_flush_closes_every_shard(self):
-        config = ReplicationConfig(
-            block_size=BS, num_blocks=8, shards=2, batch_records=4
-        )
-        stack = open_primary(config, link_factory=_killed)
-        for lba in (0, 7):  # one parked write per shard
-            stack.engine.write_block(lba, b"x" * BS)
-        with pytest.raises(PartialReplicationError):
-            stack.close()
-        assert stack.engine.closed
-        assert all(shard.closed for shard in stack.engine.shards)
-
 
 class TestOpenPrimary:
     def test_facade_matches_hand_wiring(self):
@@ -428,13 +440,12 @@ class TestDeprecationShims:
         ]
 
     def test_routed_sharded_paths_do_not_warn(self):
-        """The read-routing and multi-primary paths stay shim-free too."""
+        """The read-routing path stays shim-free too."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             config = ReplicationConfig(
                 block_size=BS, num_blocks=N, replicas=2,
-                resilient=True, fanout="pipelined",
-                shards=2, read_policy="replica",
+                resilient=True, fanout="pipelined", read_policy="replica",
             )
             with open_primary(config) as stack:
                 _writes(stack.engine, count=20)

@@ -40,7 +40,6 @@ CONFIG_FIELDS = (
     "n",
     "batch_records",
     "batch_bytes",
-    "old_block_cache",
     "fanout",
     "window",
     "link_latency_s",
@@ -51,7 +50,6 @@ CONFIG_FIELDS = (
     "worker_count",
     "ring_slots",
     "read_policy",
-    "shards",
     "resilient",
     "max_attempts",
     "backlog_capacity_bytes",
@@ -117,7 +115,6 @@ REPRO_EXPORTS = {
 
 #: the complete surface of repro.engine
 ENGINE_EXPORTS = {
-    "AggregateAccountant",
     "BatchConfig",
     "BatchEntry",
     "CircuitBreaker",
@@ -158,9 +155,6 @@ ENGINE_EXPORTS = {
     "RetriesExhaustedError",
     "RetryPolicy",
     "SchedulerConfig",
-    "ShardMap",
-    "ShardView",
-    "ShardedEngine",
     "ShipBatch",
     "ShipBatcher",
     "ShipWork",
@@ -178,7 +172,6 @@ ENGINE_EXPORTS = {
 
 #: the complete surface of repro.block
 BLOCK_EXPORTS = {
-    "BlockCache",
     "BlockDevice",
     "ChecksumDevice",
     "CountingDevice",
@@ -236,8 +229,6 @@ def test_open_primary_signature_is_stable():
     signature = inspect.signature(api.open_primary)
     assert list(signature.parameters) == [
         "config",
-        "shards",
-        "read_policy",
         "initial_image",
         "link_factory",
         "telemetry_name",
@@ -250,8 +241,6 @@ def test_open_cluster_signature_is_stable():
     signature = inspect.signature(api.open_cluster)
     assert list(signature.parameters) == [
         "config",
-        "shards",
-        "read_policy",
         "placement",
         "link_factory",
         "resilience",

@@ -23,18 +23,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "prins" in out
         assert "traditional" in out
-        assert "A_old cache" not in out  # default: cache off
-
-    def test_demo_old_block_cache(self, capsys):
-        assert main([
-            "demo", "--transactions", "40", "--old-block-cache", "64",
-        ]) == 0
-        out = capsys.readouterr().out
-        # the hit-rate tag appears only on delta-computing strategies
-        prins_line = next(l for l in out.splitlines() if "prins" in l)
-        trad_line = next(l for l in out.splitlines() if "traditional" in l)
-        assert "A_old cache hit rate" in prins_line
-        assert "A_old cache" not in trad_line
+        assert "A_old cache" not in out  # no program-side A_old cache
 
     def test_trace_capture_and_replay(self, capsys, tmp_path):
         path = str(tmp_path / "w.prtr")

@@ -31,32 +31,6 @@ class TestClusterConfig:
         with pytest.raises(ConfigurationError):
             small_config(replicas_per_node=4)  # == nodes
 
-    def test_old_block_cache_validation(self):
-        with pytest.raises(ConfigurationError):
-            small_config(old_block_cache=0)
-        with pytest.raises(ConfigurationError):
-            small_config(old_block_cache=-1)
-        assert small_config(old_block_cache=8).old_block_cache == 8
-        assert small_config().old_block_cache is None
-
-
-class TestClusterOldBlockCache:
-    def test_default_engines_have_no_cache(self):
-        cluster = StorageCluster(small_config())
-        assert all(n.engine.old_block_cache is None for n in cluster.nodes)
-
-    def test_configured_cache_serves_rewrites(self):
-        config = small_config(old_block_cache=8)
-        cluster = StorageCluster(config)
-        node = cluster.nodes[0]
-        node.engine.write_block(1, b"\x01" * config.block_size)
-        node.engine.write_block(1, b"\x02" * config.block_size)
-        snap = node.engine.old_block_cache.snapshot()
-        assert snap["capacity"] == 8
-        assert snap["misses"] == 1
-        assert snap["hits"] == 1
-        assert cluster.verify() == {}  # replicas converged despite cache
-
 
 class TestPlacement:
     def test_round_robin_successors(self):

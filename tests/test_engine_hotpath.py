@@ -1,21 +1,20 @@
-"""Tests for the zero-copy hot path: A_old cache, write_many, batch apply.
+"""Tests for the zero-copy hot path: A_old reads, write_many, batch apply.
 
-Covers the PR-4 engine surface: the bounded LRU ``old_block_cache`` that
-replaces read-before-write device I/O, the vectorized ``write_many``
-window (which must be observationally identical to sequential
-``write_block`` calls), the replica's scatter/XOR apply, and the
-``write_block_from`` device contract the replica writes through.
+Covers the engine's read-before-write (one device read per delta write),
+the vectorized ``write_many`` window (which must be observationally
+identical to sequential ``write_block`` calls), the replica's
+scatter/XOR apply, and the ``write_block_from`` device contract the
+replica writes through.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.block import BlockCache, MemoryBlockDevice
+from repro.block import MemoryBlockDevice
 from repro.common.errors import BlockSizeError
 from repro.engine import DirectLink, PrimaryEngine, ReplicaEngine, make_strategy
 from repro.engine.batch import BatchConfig
-from repro.obs.telemetry import Telemetry
 
 BLOCK_SIZE = 512
 
@@ -40,23 +39,15 @@ def _engine(
     primary,
     replica_dev,
     *,
-    cache=None,
     batch=None,
-    telemetry=None,
     strategy_name="prins",
 ):
     strategy = make_strategy(strategy_name)
-    kwargs = {}
-    if batch is not None:
-        kwargs["batch"] = batch
-    if telemetry is not None:
-        kwargs["telemetry"] = telemetry
     return PrimaryEngine(
         primary,
         strategy,
         [DirectLink(ReplicaEngine(replica_dev, strategy))],
-        old_block_cache=cache,
-        **kwargs,
+        batch=batch,
     )
 
 
@@ -64,91 +55,27 @@ def _patterns(n, seed=1):
     return [bytes([(seed * 37 + i * 11 + j) % 256 for j in range(BLOCK_SIZE)]) for i in range(n)]
 
 
-class TestOldBlockCache:
-    def test_cache_eliminates_read_before_write(self):
+class TestOldDataReads:
+    def test_engine_reads_a_old_every_write(self):
         primary = CountingDevice(BLOCK_SIZE, 8)
         replica = MemoryBlockDevice(BLOCK_SIZE, 8)
-        engine = _engine(primary, replica, cache=8)
-        blocks = _patterns(4)
-        for data in blocks:
-            engine.write_block(3, data)
-        # first write misses (cold read), later writes hit the cache
-        assert primary.reads == 1
-        snap = engine.old_block_cache.snapshot()
-        assert snap["misses"] == 1
-        assert snap["hits"] == 3
-        assert replica.read_block(3) == blocks[-1]
-
-    def test_uncached_engine_reads_every_write(self):
-        primary = CountingDevice(BLOCK_SIZE, 8)
-        replica = MemoryBlockDevice(BLOCK_SIZE, 8)
-        engine = _engine(primary, replica, cache=None)
+        engine = _engine(primary, replica)
         for data in _patterns(4):
             engine.write_block(3, data)
         assert primary.reads == 4
-        assert engine.old_block_cache is None
 
-    def test_cache_disabled_for_strategies_without_old_reads(self):
+    def test_strategies_without_old_reads_never_read(self):
         primary = CountingDevice(BLOCK_SIZE, 8)
         replica = MemoryBlockDevice(BLOCK_SIZE, 8)
-        engine = _engine(primary, replica, cache=8, strategy_name="traditional")
+        engine = _engine(primary, replica, strategy_name="traditional")
         for data in _patterns(2):
             engine.write_block(0, data)
-        assert engine.old_block_cache is None
         assert primary.reads == 0
-
-    def test_bounded_cache_evicts_and_stays_correct(self):
-        primary = CountingDevice(BLOCK_SIZE, 8)
-        replica = MemoryBlockDevice(BLOCK_SIZE, 8)
-        engine = _engine(primary, replica, cache=2)
-        blocks = _patterns(6)
-        for i, data in enumerate(blocks):
-            engine.write_block(i % 4, data)  # 4 LBAs through a 2-slot cache
-        for i in range(4):
-            expected = blocks[[j for j in range(6) if j % 4 == i][-1]]
-            assert replica.read_block(i) == expected
-            assert primary.read_block(i) == expected
-        assert engine.old_block_cache.snapshot()["evictions"] > 0
-
-    def test_cache_hit_lands_on_write_delta_span(self):
-        tel = Telemetry(detail=True)
-        primary = MemoryBlockDevice(BLOCK_SIZE, 4)
-        replica = MemoryBlockDevice(BLOCK_SIZE, 4)
-        engine = _engine(primary, replica, cache=4, telemetry=tel)
-        for data in _patterns(2):
-            engine.write_block(1, data)
-        deltas = [
-            r
-            for r in tel.snapshot()["traces"]
-            if r["name"] == "write.delta" and "cache_hit" in r.get("attrs", {})
-        ]
-        assert [d["attrs"]["cache_hit"] for d in deltas] == [False, True]
-
-    def test_cache_counters_reach_metrics_registry(self):
-        tel = Telemetry()
-        primary = MemoryBlockDevice(BLOCK_SIZE, 4)
-        replica = MemoryBlockDevice(BLOCK_SIZE, 4)
-        engine = _engine(primary, replica, cache=4, telemetry=tel)
-        for data in _patterns(3):
-            engine.write_block(0, data)
-        counters = tel.snapshot()["metrics"]["counters"]
-        assert counters["cache.old_block.misses"] == 1
-        assert counters["cache.old_block.hits"] == 2
-
-    def test_snapshot_includes_cache(self):
-        primary = MemoryBlockDevice(BLOCK_SIZE, 4)
-        replica = MemoryBlockDevice(BLOCK_SIZE, 4)
-        engine = _engine(primary, replica, cache=4)
-        engine.write_block(0, _patterns(1)[0])
-        snap = engine.telemetry_snapshot()
-        assert snap["old_block_cache"]["capacity"] == 4
-        assert snap["old_block_cache"]["size"] == 1
 
 
 class TestWriteMany:
     @pytest.mark.parametrize("batched", [False, True], ids=["direct", "batched"])
-    @pytest.mark.parametrize("cache", [None, 8], ids=["nocache", "cache"])
-    def test_equivalent_to_sequential_writes(self, batched, cache):
+    def test_equivalent_to_sequential_writes(self, batched):
         blocks = _patterns(6)
         writes = [(i % 4, blocks[i]) for i in range(6)]  # includes repeats
         images = []
@@ -159,7 +86,7 @@ class TestWriteMany:
             batch = (
                 BatchConfig(max_records=16, max_bytes=1 << 20) if batched else None
             )
-            engine = _engine(primary, replica, cache=cache, batch=batch)
+            engine = _engine(primary, replica, batch=batch)
             if use_many:
                 engine.write_many(writes)
             else:
@@ -179,7 +106,6 @@ class TestWriteMany:
         engine = _engine(
             primary,
             replica,
-            cache=4,
             batch=BatchConfig(max_records=16, max_bytes=1 << 20),
         )
         first, second = _patterns(2)
@@ -191,7 +117,7 @@ class TestWriteMany:
     def test_unchanged_write_in_window_is_skipped(self):
         primary = MemoryBlockDevice(BLOCK_SIZE, 4)
         replica = MemoryBlockDevice(BLOCK_SIZE, 4)
-        engine = _engine(primary, replica, cache=4)
+        engine = _engine(primary, replica)
         data = _patterns(1)[0]
         engine.write_block(2, data)
         before = engine.accountant.snapshot()["payload_bytes"]

@@ -148,14 +148,14 @@ def test_trace_replay_is_faithful(writes):
 
 
 @settings(max_examples=25, deadline=None)
-@given(writes=write_lists, cache=st.sampled_from([None, 2, N]))
-def test_write_many_equals_sequential_writes(writes, cache):
+@given(writes=write_lists)
+def test_write_many_equals_sequential_writes(writes):
     """The vectorized window path is observationally identical.
 
     ``write_many`` must leave the same primary image, the same replica
     image, and the same replicated payload accounting as issuing the
     writes one at a time — for any interleaving of LBAs (including
-    same-window rewrites) and any A_old cache size.
+    same-window rewrites).
     """
     images = []
     payloads = []
@@ -164,10 +164,7 @@ def test_write_many_equals_sequential_writes(writes, cache):
         replica = MemoryBlockDevice(BS, N)
         strategy = make_strategy("prins")
         engine = PrimaryEngine(
-            primary,
-            strategy,
-            [DirectLink(ReplicaEngine(replica, strategy))],
-            old_block_cache=cache,
+            primary, strategy, [DirectLink(ReplicaEngine(replica, strategy))]
         )
         if use_many:
             engine.write_many(writes)

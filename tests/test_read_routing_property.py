@@ -5,8 +5,8 @@ a replica-routed stack and checks, at every read, that the routed answer
 equals the primary device's bytes — the ground truth for the latest
 completed write, since the primary always applies locally before
 shipping.  The grid crosses fan-out mode (sequential vs pipelined, where
-in-flight work makes conflicts real), redundancy (mirror vs erasure
-any-k reassembly), and shard counts {1, 2, 4}.
+in-flight work makes conflicts real) and redundancy (mirror vs erasure
+any-k reassembly).
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ def _config(fanout: str, redundancy: str) -> ReplicationConfig:
     return ReplicationConfig(**kwargs)
 
 
-@pytest.mark.parametrize("shards", [1, 2, 4])
 @pytest.mark.parametrize("redundancy", ["mirror", "erasure"])
 @pytest.mark.parametrize("fanout", ["sequential", "pipelined"])
 @settings(max_examples=10, deadline=None)
 @given(schedule=ops)
-def test_routed_reads_equal_primary_reads(fanout, redundancy, shards, schedule):
+def test_routed_reads_equal_primary_reads(fanout, redundancy, schedule):
     config = _config(fanout, redundancy)
-    with open_primary(config, shards=shards) as stack:
+    with open_primary(config) as stack:
         engine = stack.engine
         for step in schedule:
             if step[0] == "write":
