@@ -14,7 +14,12 @@ documentation file it verifies that
 * every *code path* reference of the form ```` `tests/...` ````,
   ```` `benchmarks/...` ````, ```` `examples/...` ```` or
   ```` `scripts/...` ```` names a real file or directory (module dotted
-  paths like ``repro.engine.batch`` are checked as ``src/`` paths).
+  paths like ``repro.engine.batch`` are checked as ``src/`` paths);
+* every ```` `Class.member` ```` reference (optionally called, as in
+  ```` `Class.member(args)` ````) whose ``Class`` is defined under
+  ``src/repro`` names a method, attribute or nested class of that class
+  or of one of its bases defined there, so a deleted method cannot
+  linger in the docs.
 
 Exit status is the number of broken references (0 == all good), so CI
 can gate on it directly::
@@ -24,8 +29,10 @@ can gate on it directly::
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +55,11 @@ _CODE_PATH = re.compile(
 
 #: ``repro.engine.batch``-style dotted module references in backticks.
 _MODULE = re.compile(r"`(repro(?:\.[a-z_][a-z0-9_]*)+)`")
+
+#: `` `Class.member` `` / `` `Class.member(args)` `` references in backticks.
+_MEMBER = re.compile(
+    r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\([^`]*\))?`"
+)
 
 #: markdown headings, for anchor validation.
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -80,6 +92,61 @@ def module_to_paths(dotted: str) -> list[Path]:
     return candidates
 
 
+@lru_cache(maxsize=None)
+def class_index() -> dict[str, tuple[set[str], set[str]]]:
+    """Class name -> (member names, base class names) under ``src/repro``.
+
+    Members are the class body's functions, nested classes and assigned
+    names plus every ``self.<name>`` its methods assign.  Classes that
+    share a name pool their members.
+    """
+    index: dict[str, tuple[set[str], set[str]]] = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            members, bases = index.setdefault(node.name, (set(), set()))
+            for base in node.bases:
+                if isinstance(base, ast.Name):
+                    bases.add(base.id)
+                elif isinstance(base, ast.Attribute):
+                    bases.add(base.attr)
+            for item in node.body:
+                if isinstance(
+                    item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                ):
+                    members.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    members.update(
+                        t.id for t in item.targets if isinstance(t, ast.Name)
+                    )
+                elif isinstance(item, ast.AnnAssign) and isinstance(
+                    item.target, ast.Name
+                ):
+                    members.add(item.target.id)
+            for sub in ast.walk(node):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "self"
+                ):
+                    members.add(sub.attr)
+    return index
+
+
+def has_member(cls: str, member: str, seen: frozenset = frozenset()) -> bool:
+    """True when ``cls`` or one of its bases under ``src/repro`` has ``member``."""
+    index = class_index()
+    if cls in seen or cls not in index:
+        return False
+    members, bases = index[cls]
+    return member in members or any(
+        has_member(base, member, seen | {cls}) for base in bases
+    )
+
+
 def check_file(doc: Path) -> list[str]:
     """Return a list of human-readable problems found in ``doc``."""
     problems: list[str] = []
@@ -110,6 +177,11 @@ def check_file(doc: Path) -> list[str]:
         dotted = match.group(1)
         if not any((REPO_ROOT / p).exists() for p in module_to_paths(dotted)):
             problems.append(f"{doc.name}: missing module `{dotted}`")
+
+    for match in _MEMBER.finditer(text):
+        cls, member = match.groups()
+        if cls in class_index() and not has_member(cls, member):
+            problems.append(f"{doc.name}: no member `{cls}.{member}`")
 
     return problems
 

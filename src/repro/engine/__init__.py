@@ -21,7 +21,6 @@ The three strategies correspond exactly to the paper's three bars:
 from repro.common.errors import PartialReplicationError, RetriesExhaustedError
 from repro.engine.accounting import (
     ConservationError,
-    ReplicaTraffic,
     TrafficAccountant,
     ethernet_wire_bytes,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "ReconcileSession",
     "ReconcileStalledError",
     "ReplicaChannel",
-    "ReplicaTraffic",
     "ReplicationJournal",
     "ResilienceConfig",
     "ResilientLink",

@@ -5,7 +5,7 @@ wire.  Three views are kept because the paper reports different ones in
 different places:
 
 * **payload bytes** — the encoded frame+record (what Figs. 4–7 plot);
-* **pdu bytes** — payload plus the 48-byte PDU header;
+* **pdu bytes** — payload plus the 48-byte iSCSI basic header segment;
 * **ethernet bytes** — payload inflated by the paper's packet model
   (Sec. 3.3): 1.5 KB Ethernet payloads, 0.112 KB of Ethernet+IP+TCP
   headers per packet, i.e. ``Sd + Sd/1.5 * 0.112`` with Sd in KB.
@@ -14,9 +14,12 @@ different places:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from enum import IntEnum
+from operator import itemgetter
+from typing import Callable
 
 from repro.common.errors import ReplicationError
+from repro.iscsi.pdu import BHS_SIZE
 from repro.obs.registry import Histogram
 
 #: Ethernet payload per packet, bytes (paper Sec. 3.3: "1.5Kbytes payload")
@@ -42,100 +45,96 @@ def ethernet_wire_bytes(payload_bytes: int, exact_packets: bool = False) -> floa
     return payload_bytes * (1 + PACKET_HEADERS / PACKET_PAYLOAD)
 
 
-#: replica key used when a recovery charge arrives without attribution
-UNATTRIBUTED_REPLICA = -1
-
-
 class ConservationError(ReplicationError):
-    """A traffic conservation law does not balance.
+    """A replica's journal ledger does not balance.
 
-    Raised by :meth:`TrafficAccountant.verify_conservation` when the
-    per-replica itemization disagrees with the global counters or a
+    Raised by :meth:`TrafficAccountant.verify_conservation` when a
     replica's journaled bytes cannot be accounted for as replayed +
-    dropped + still-pending.  This is always a bookkeeping bug, never a
-    network condition.
+    dropped + still-pending, or the still-pending bytes disagree with its
+    live backlog.  This is always a bookkeeping bug, never a network
+    condition.
     """
 
 
-@dataclass
-class ReplicaTraffic:
-    """Per-replica itemization of shipped and recovery traffic.
+class Flow(IntEnum):
+    """One kind of per-replica traffic, posted with :meth:`TrafficAccountant.post`."""
 
-    Every byte the global :class:`TrafficAccountant` counters aggregate
-    is also attributed to the replica channel that caused it, so the
-    conservation law stays checkable when replicas recover *out of
-    order* — previously recovery bytes were only attributed globally at
-    journal-replay time, and an overflowed-then-resynced replica leaked
-    its journaled bytes forever.
-    """
-
-    shipped_payload_bytes: int = 0  # payload bytes acked by this replica
-    ships: int = 0  # submissions (records or batches) this replica acked
-    journaled_records: int = 0
-    journaled_bytes: int = 0  # payload bytes deferred to this replica's backlog
-    replayed_records: int = 0
-    replayed_bytes: int = 0  # payload bytes drained from the backlog
-    dropped_bytes: int = 0  # payload bytes evicted/cleared, covered by resync
-    retries: int = 0
-    retry_bytes: int = 0
-    resyncs: int = 0
-    resync_bytes: int = 0
-    reconciles: int = 0
-    reconcile_sketch_bytes: int = 0
-    reconcile_digest_bytes: int = 0
-    reconcile_diff_bytes: int = 0
-    fragment_ships: int = 0  # erasure fragments this channel acked
-    fragment_payload_bytes: int = 0  # wire bytes of those fragment ships
-    repair_read_bytes: int = 0  # survivor bytes read to rebuild this fragment
-    repair_write_bytes: int = 0  # rebuilt bytes written to this holder
-
-    @property
-    def reconcile_bytes(self) -> int:
-        """Total reconcile-tier wire bytes (sketches + digests + diffs)."""
-        return (
-            self.reconcile_sketch_bytes
-            + self.reconcile_digest_bytes
-            + self.reconcile_diff_bytes
-        )
-
-    def outstanding_bytes(self) -> int:
-        """Journaled payload bytes not yet replayed or dropped.
-
-        Must equal the live backlog's ``payload_bytes_pending`` — the
-        per-replica conservation law.
-        """
-        return self.journaled_bytes - self.replayed_bytes - self.dropped_bytes
-
-    def snapshot(self) -> dict:
-        """JSON-safe view of this replica's itemized counters."""
-        return {
-            "shipped_payload_bytes": self.shipped_payload_bytes,
-            "ships": self.ships,
-            "journaled_records": self.journaled_records,
-            "journaled_bytes": self.journaled_bytes,
-            "replayed_records": self.replayed_records,
-            "replayed_bytes": self.replayed_bytes,
-            "dropped_bytes": self.dropped_bytes,
-            "outstanding_bytes": self.outstanding_bytes(),
-            "retries": self.retries,
-            "retry_bytes": self.retry_bytes,
-            "resyncs": self.resyncs,
-            "resync_bytes": self.resync_bytes,
-            "reconciles": self.reconciles,
-            "reconcile_sketch_bytes": self.reconcile_sketch_bytes,
-            "reconcile_digest_bytes": self.reconcile_digest_bytes,
-            "reconcile_diff_bytes": self.reconcile_diff_bytes,
-            "reconcile_bytes": self.reconcile_bytes,
-            "fragment_ships": self.fragment_ships,
-            "fragment_payload_bytes": self.fragment_payload_bytes,
-            "repair_read_bytes": self.repair_read_bytes,
-            "repair_write_bytes": self.repair_write_bytes,
-        }
+    SHIP = 0  # a submission (record or batch) the replica acked
+    FRAGMENT = 1  # an erasure fragment the replica acked
+    JOURNAL = 2  # a copy deferred to the replica's backlog
+    REPLAY = 3  # backlog bytes drained to the replica
+    DROP = 4  # journaled bytes evicted or cleared, covered by a resync
+    RETRY = 5  # a re-ship attempt by a resilient link
+    RESYNC = 6  # a digest resync sweep
+    RECONCILE = 7  # a set-reconciliation run started (no bytes)
+    SKETCH = 8  # reconcile parity-bitmap sketch exchange
+    DIGEST = 9  # reconcile candidate/group/piece digests
+    DIFF = 10  # reconcile divergent-block payloads
+    REPAIR_READ = 11  # survivor bytes read to rebuild this fragment
+    REPAIR_WRITE = 12  # rebuilt bytes written to this holder
 
 
-@dataclass
+#: a replica row holds each flow's bytes at ``[flow]`` and its count at
+#: ``[_COUNTS + flow]``
+_COUNTS = len(Flow)
+
+
+def _bytes(flow: Flow) -> itemgetter:
+    return itemgetter(flow)
+
+
+def _count(flow: Flow) -> itemgetter:
+    return itemgetter(_COUNTS + flow)
+
+
+def _outstanding(row: list[int]) -> int:
+    """Journaled bytes not yet replayed or dropped: the live backlog."""
+    return row[Flow.JOURNAL] - row[Flow.REPLAY] - row[Flow.DROP]
+
+
+def _reconcile(row: list[int]) -> int:
+    return row[Flow.SKETCH] + row[Flow.DIGEST] + row[Flow.DIFF]
+
+
+#: one replica's ``snapshot()["per_replica"]`` entry, in output order
+_ROW_SNAPSHOT = (
+    ("shipped_payload_bytes", _bytes(Flow.SHIP)),
+    ("ships", _count(Flow.SHIP)),
+    ("journaled_records", _count(Flow.JOURNAL)),
+    ("journaled_bytes", _bytes(Flow.JOURNAL)),
+    ("replayed_records", _count(Flow.REPLAY)),
+    ("replayed_bytes", _bytes(Flow.REPLAY)),
+    ("dropped_bytes", _bytes(Flow.DROP)),
+    ("outstanding_bytes", _outstanding),
+    ("retries", _count(Flow.RETRY)),
+    ("retry_bytes", _bytes(Flow.RETRY)),
+    ("resyncs", _count(Flow.RESYNC)),
+    ("resync_bytes", _bytes(Flow.RESYNC)),
+    ("reconciles", _count(Flow.RECONCILE)),
+    ("reconcile_sketch_bytes", _bytes(Flow.SKETCH)),
+    ("reconcile_digest_bytes", _bytes(Flow.DIGEST)),
+    ("reconcile_diff_bytes", _bytes(Flow.DIFF)),
+    ("reconcile_bytes", _reconcile),
+    ("fragment_ships", _count(Flow.FRAGMENT)),
+    ("fragment_payload_bytes", _bytes(Flow.FRAGMENT)),
+    ("repair_read_bytes", _bytes(Flow.REPAIR_READ)),
+    ("repair_write_bytes", _bytes(Flow.REPAIR_WRITE)),
+)
+
+
+def _total(column: Callable[[list[int]], int]) -> property:
+    """A read-only sum of one row column over every replica."""
+    return property(lambda self: sum(map(column, self.rows.values())))
+
+
 class TrafficAccountant:
     """Accumulates per-primary replication traffic.
+
+    Two calls book everything: :meth:`charge_write` for each local
+    write, batch window or stripe group with all of its copies, and
+    :meth:`post` for each per-replica flow (:class:`Flow`).  A flow is
+    stored once, in its replica's row; the engine-wide recovery totals
+    (``retry_bytes``, ``journaled_bytes``, …) are sums over the rows.
 
     The per-write payload *distribution* is kept in a bounded log2-bucket
     :class:`~repro.obs.registry.Histogram` (``payload_histogram``), so a
@@ -145,430 +144,142 @@ class TrafficAccountant:
     queueing) opt back into the raw list with ``keep_raw=True``.
     """
 
-    writes_total: int = 0
-    writes_replicated: int = 0
-    writes_skipped: int = 0
-    payload_bytes: int = 0
-    pdu_bytes: int = 0
-    data_bytes: int = 0  # logical (pre-encoding) block bytes written
-    pdus_shipped: int = 0  # wire PDUs carrying replication traffic
-    #: exact per-write payload sample; only populated when ``keep_raw``
-    per_write_payloads: list[int] = field(default_factory=list)
-    #: bounded distribution of per-write payload bytes (always maintained)
-    payload_histogram: Histogram = field(
-        default_factory=lambda: Histogram("per_write_payload_bytes")
-    )
-    #: keep the unbounded raw sample (paper-figure benchmarks only)
-    keep_raw: bool = False
-    # -- fault-tolerance counters (engine/resilience.py) --------------------
-    writes_failed: int = 0  # strict fan-outs aborted by a link exception
-    writes_journaled: int = 0  # fan-outs where >=1 copy went to backlog
-    journaled_records: int = 0  # per-link copies deferred to backlog
-    journaled_bytes: int = 0  # payload bytes deferred (charged at replay)
-    retries: int = 0  # re-ship attempts by resilient links
-    retry_bytes: int = 0  # wire bytes those re-ships cost
-    backlog_records_replayed: int = 0  # records drained from backlogs
-    backlog_replay_bytes: int = 0  # wire bytes of backlog replay
-    resyncs: int = 0  # digest/full resync escalations
-    resync_bytes: int = 0  # wire bytes (digests + copied blocks) of resyncs
-    reconciles: int = 0  # set-reconciliation resync runs (incl. resumes)
-    reconcile_sketch_bytes: int = 0  # parity-bitmap sketch exchange bytes
-    reconcile_digest_bytes: int = 0  # candidate/group/piece digest bytes
-    reconcile_diff_bytes: int = 0  # encoded divergent-block payload bytes
-    # -- batching counters (engine/batch.py) --------------------------------
-    batches_shipped: int = 0  # batch PDUs put on the wire (per copy)
-    batched_records: int = 0  # post-merge records framed into batches
-    batched_payload_bytes: int = 0  # batch payload bytes (subset of payload_bytes)
-    batched_pdu_bytes: int = 0  # batch payload + PDU headers (subset of pdu_bytes)
-    writes_merged: int = 0  # logical writes elided by same-LBA XOR merging
-    records_elided: int = 0  # post-merge records dropped as no-ops
-    # -- erasure-tier counters (engine/stripe.py) ----------------------------
-    erasure_writes: int = 0  # striped fan-outs completed (any outcome)
-    fragments_shipped: int = 0  # fragment submissions acked across channels
-    fragment_payload_bytes: int = 0  # wire bytes of those fragment ships
-    fragments_elided: int = 0  # all-zero fragment deltas skipped (XOR no-op)
-    repairs: int = 0  # survivor-driven fragment rebuilds
-    repair_read_bytes: int = 0  # fragment bytes read from survivors
-    repair_write_bytes: int = 0  # rebuilt bytes shipped to replacements
-    # -- per-replica itemization (conservation under OOO recovery) ----------
-    per_replica: dict[int, ReplicaTraffic] = field(default_factory=dict)
-    dropped_bytes: int = 0  # journaled payload bytes evicted/cleared unreplayed
+    def __init__(self, keep_raw: bool = False) -> None:
+        #: keep the unbounded raw sample (paper-figure benchmarks only)
+        self.keep_raw = keep_raw
+        #: exact per-write payload sample; only populated when ``keep_raw``
+        self.per_write_payloads: list[int] = []
+        #: bounded distribution of per-write payload bytes (always maintained)
+        self.payload_histogram = Histogram("per_write_payload_bytes")
+        #: replica index -> its flow row (see :class:`Flow`)
+        self.rows: dict[int, list[int]] = {}
+        self.reset()
 
-    def replica(self, index: int | None) -> ReplicaTraffic:
-        """The itemized ledger for replica ``index`` (created on demand).
+    # engine-wide sums of the per-replica rows
+    journaled_records = _total(_count(Flow.JOURNAL))
+    journaled_bytes = _total(_bytes(Flow.JOURNAL))
+    dropped_bytes = _total(_bytes(Flow.DROP))
+    retries = _total(_count(Flow.RETRY))
+    retry_bytes = _total(_bytes(Flow.RETRY))
+    backlog_records_replayed = _total(_count(Flow.REPLAY))
+    backlog_replay_bytes = _total(_bytes(Flow.REPLAY))
+    resyncs = _total(_count(Flow.RESYNC))
+    resync_bytes = _total(_bytes(Flow.RESYNC))
+    reconciles = _total(_count(Flow.RECONCILE))
+    reconcile_sketch_bytes = _total(_bytes(Flow.SKETCH))
+    reconcile_digest_bytes = _total(_bytes(Flow.DIGEST))
+    reconcile_diff_bytes = _total(_bytes(Flow.DIFF))
+    reconcile_bytes = _total(_reconcile)
+    fragments_shipped = _total(_count(Flow.FRAGMENT))
+    fragment_payload_bytes = _total(_bytes(Flow.FRAGMENT))
+    repairs = _total(_count(Flow.REPAIR_WRITE))
+    repair_read_bytes = _total(_bytes(Flow.REPAIR_READ))
+    repair_write_bytes = _total(_bytes(Flow.REPAIR_WRITE))
 
-        ``None`` maps to :data:`UNATTRIBUTED_REPLICA`, keeping the
-        itemized sums equal to the global counters even for callers that
-        predate attribution.
-        """
-        key = UNATTRIBUTED_REPLICA if index is None else index
-        ledger = self.per_replica.get(key)
-        if ledger is None:
-            ledger = self.per_replica[key] = ReplicaTraffic()
-        return ledger
-
-    def record_write(
-        self, data_len: int, payload_len: int | None, pdu_overhead: int = 48
-    ) -> None:
-        """Record one local write and its (possibly skipped) replication."""
-        self.writes_total += 1
-        self.data_bytes += data_len
-        if payload_len is None:
-            self.writes_skipped += 1
-            return
-        self.writes_replicated += 1
-        self.payload_bytes += payload_len
-        self.pdu_bytes += payload_len + pdu_overhead
-        self.pdus_shipped += 1
-        self.payload_histogram.record(payload_len)
-        if self.keep_raw:
-            self.per_write_payloads.append(payload_len)
-
-    def record_batch(
+    def charge_write(
         self,
-        logical_writes: int,
         data_len: int,
-        records: int,
-        payload_len: int,
-        merged: int = 0,
-        elided: int = 0,
+        wire: int | None,
         copies: int = 1,
         journaled: bool = False,
-        pdu_overhead: int = 48,
-    ) -> None:
-        """Record one drained batch window: its logical writes and wire cost.
-
-        ``payload_len`` is the packed batch (header + segments);
-        ``copies`` is how many replica links it shipped to (``0`` when
-        the fan-out failed — or, with ``journaled``, when every copy was
-        deferred to a backlog).  ``records == 0`` means the whole window
-        merged away to no-ops: the logical writes count as skipped,
-        mirroring the unbatched all-zero-delta skip.  Batched traffic
-        also accrues into the global ``payload_bytes``/``pdu_bytes``
-        totals so the paper's traffic views stay comparable; the
-        per-write payload histogram is *not* fed (there is no per-write
-        wire cost once writes merge — use ``batched_*`` instead).
-        """
-        self.writes_total += logical_writes
-        self.data_bytes += data_len
-        self.writes_merged += merged
-        self.records_elided += elided
-        if records == 0:
-            self.writes_skipped += logical_writes
-            return
-        if copies == 0:
-            if journaled:
-                self.writes_journaled += logical_writes
-            else:
-                self.writes_failed += logical_writes
-            return
-        self.writes_replicated += logical_writes
-        self.batched_records += records
-        wire = payload_len * copies
-        self.batches_shipped += copies
-        self.pdus_shipped += copies
-        self.batched_payload_bytes += wire
-        self.batched_pdu_bytes += wire + pdu_overhead * copies
-        self.payload_bytes += wire
-        self.pdu_bytes += wire + pdu_overhead * copies
-
-    # -- fault-tolerance accounting ----------------------------------------
-
-    def record_failed_write(self, data_len: int) -> None:
-        """Record a local write whose fan-out aborted before any link acked."""
-        self.writes_total += 1
-        self.data_bytes += data_len
-        self.writes_failed += 1
-
-    def record_journaled_write(self, data_len: int) -> None:
-        """Record a local write whose every copy was deferred to backlog."""
-        self.writes_total += 1
-        self.data_bytes += data_len
-        self.writes_journaled += 1
-
-    def record_replica_ship(
-        self, payload_len: int, replica: int | None = None
-    ) -> None:
-        """Attribute one acked submission's payload bytes to ``replica``.
-
-        Itemization only — the global ``payload_bytes`` totals are charged
-        separately by ``record_write``/``record_batch``; this keeps the
-        hot-path charging unchanged while making per-replica byte flows
-        auditable (and conservation checkable under pipelined fan-out).
-        """
-        ledger = self.replica(replica)
-        ledger.ships += 1
-        ledger.shipped_payload_bytes += payload_len
-
-    def record_journaled_copy(
-        self, payload_len: int, replica: int | None = None
-    ) -> None:
-        """One replica copy deferred to backlog (wire cost paid at replay)."""
-        self.journaled_records += 1
-        self.journaled_bytes += payload_len
-        ledger = self.replica(replica)
-        ledger.journaled_records += 1
-        ledger.journaled_bytes += payload_len
-
-    def record_retry(self, wire_len: int, replica: int | None = None) -> None:
-        """One re-ship attempt of ``wire_len`` bytes by a resilient link."""
-        self.retries += 1
-        self.retry_bytes += wire_len
-        ledger = self.replica(replica)
-        ledger.retries += 1
-        ledger.retry_bytes += wire_len
-
-    def record_backlog_replay(
-        self, records: int, wire_bytes: int, replica: int | None = None
-    ) -> None:
-        """A backlog drain shipped ``records`` records / ``wire_bytes``."""
-        self.backlog_records_replayed += records
-        self.backlog_replay_bytes += wire_bytes
-        ledger = self.replica(replica)
-        ledger.replayed_records += records
-        ledger.replayed_bytes += wire_bytes
-
-    def record_backlog_drop(
-        self, payload_bytes: int, replica: int | None = None
-    ) -> None:
-        """Journaled payload bytes left the backlog unreplayable.
-
-        Charged at eviction (overflow) or wholesale clear (pre-resync)
-        time — *not* at replay time — which is what lets the conservation
-        law balance when replicas complete out of order: a replica whose
-        backlog overflowed and was digest-resynced closes its journaled
-        ledger with dropped bytes instead of leaking them.
-        """
-        self.dropped_bytes += payload_bytes
-        self.replica(replica).dropped_bytes += payload_bytes
-
-    def record_resync(self, wire_bytes: int, replica: int | None = None) -> None:
-        """A digest/full resync escalation moved ``wire_bytes`` on the wire."""
-        self.resyncs += 1
-        self.resync_bytes += wire_bytes
-        ledger = self.replica(replica)
-        ledger.resyncs += 1
-        ledger.resync_bytes += wire_bytes
-
-    def record_reconcile(self, replica: int | None = None) -> None:
-        """One set-reconciliation run started (resumed runs count again)."""
-        self.reconciles += 1
-        self.replica(replica).reconciles += 1
-
-    def record_reconcile_traffic(
-        self,
-        sketch_bytes: int = 0,
-        digest_bytes: int = 0,
-        diff_bytes: int = 0,
-        replica: int | None = None,
-    ) -> None:
-        """Charge one reconcile run's wire bytes, itemized by kind.
-
-        Called with the *delta* since the previous charge, so a session
-        suspended by a transient fault still has everything it spent on
-        the books — the conservation law must balance even for a heal
-        that raised halfway through.
-        """
-        self.reconcile_sketch_bytes += sketch_bytes
-        self.reconcile_digest_bytes += digest_bytes
-        self.reconcile_diff_bytes += diff_bytes
-        ledger = self.replica(replica)
-        ledger.reconcile_sketch_bytes += sketch_bytes
-        ledger.reconcile_digest_bytes += digest_bytes
-        ledger.reconcile_diff_bytes += diff_bytes
-
-    # -- erasure-tier accounting --------------------------------------------
-
-    def record_erasure_write(
-        self,
-        data_len: int,
-        payload_len: int,
-        delivered: int,
-        journaled: int,
-        fragments: int,
+        *,
+        writes: int = 1,
+        records: int | None = None,
+        merged: int = 0,
         elided: int = 0,
-        pdu_overhead: int = 48,
+        striped: bool = False,
     ) -> None:
-        """Record one striped write once its whole fragment fan-out resolved.
+        """Book ``writes`` local writes of ``data_len`` bytes and their copies.
 
-        ``payload_len`` is the *delivered* fragment wire bytes summed over
-        the fan-out (journaled fragments are charged at replay, like any
-        backlogged copy); ``fragments`` is how many fragments actually
-        shipped or journaled after eliding ``elided`` all-zero fragment
-        deltas.  The write counts as skipped when every fragment elided,
-        journaled when nothing delivered but something reached a backlog,
-        and failed when nothing delivered at all — exactly the mirror
-        tier's outcome taxonomy, applied to the stripe group as a unit.
+        ``wire`` is the payload bytes the ``copies`` delivered PDUs put on
+        the wire in total, or ``None`` when nothing needed shipping (a
+        zero delta, a window merged away, every fragment elided): the
+        writes count as skipped.  With ``copies == 0`` they count as
+        journaled when ``journaled`` (some backlog holds them; their wire
+        cost is charged at replay), failed otherwise.
+
+        Three shapes share the outcome taxonomy:
+
+        * a record: every delivered copy is one per-write payload sample;
+        * a batch window (``records`` post-merge records framed, after
+          ``merged`` same-LBA writes and ``elided`` no-op records were
+          dropped): its bytes also accrue into the ``batched_*``
+          counters and feed no per-write sample — once writes merge
+          there is no per-write wire cost;
+        * a stripe group (``striped``, after ``elided`` all-zero
+          fragment deltas): its delivered fragments form one sample.
         """
-        self.writes_total += 1
+        self.writes_total += writes
         self.data_bytes += data_len
-        self.erasure_writes += 1
-        self.fragments_elided += elided
-        if fragments == 0:
-            self.writes_skipped += 1
+        if striped:
+            self.erasure_writes += 1
+            self.fragments_elided += elided
+        elif records is not None:
+            self.writes_merged += merged
+            self.records_elided += elided
+        if wire is None:
+            self.writes_skipped += writes
             return
-        if delivered == 0:
+        if not copies:
             if journaled:
-                self.writes_journaled += 1
+                self.writes_journaled += writes
             else:
-                self.writes_failed += 1
+                self.writes_failed += writes
             return
-        self.writes_replicated += 1
-        self.payload_bytes += payload_len
-        self.pdu_bytes += payload_len + pdu_overhead * delivered
-        self.pdus_shipped += delivered
-        self.payload_histogram.record(payload_len)
+        self.writes_replicated += writes
+        self.payload_bytes += wire
+        self.pdu_bytes += wire + BHS_SIZE * copies
+        self.pdus_shipped += copies
+        if records is not None:
+            self.batches_shipped += copies
+            self.batched_records += records
+            self.batched_payload_bytes += wire
+            self.batched_pdu_bytes += wire + BHS_SIZE * copies
+            return
+        samples = 1 if striped else copies
+        sample = wire // samples
+        for _ in range(samples):
+            self.payload_histogram.record(sample)
         if self.keep_raw:
-            self.per_write_payloads.append(payload_len)
+            self.per_write_payloads.extend([sample] * samples)
 
-    def record_fragment_ship(
-        self, payload_len: int, replica: int | None = None
-    ) -> None:
-        """Attribute one acked fragment's wire bytes to its channel.
-
-        The erasure tier's analogue of :meth:`record_replica_ship`:
-        itemization only (globals are charged once per stripe group by
-        :meth:`record_erasure_write`), making the per-fragment byte flow
-        auditable as its own conservation law.
-        """
-        self.fragments_shipped += 1
-        self.fragment_payload_bytes += payload_len
-        ledger = self.replica(replica)
-        ledger.fragment_ships += 1
-        ledger.fragment_payload_bytes += payload_len
-
-    def record_repair(
-        self, read_bytes: int, written_bytes: int, replica: int | None = None
-    ) -> None:
-        """One survivor-driven fragment rebuild: its read and write bytes.
-
-        ``written_bytes`` is what actually shipped to the replacement
-        holder (``volume / k``) — the number the repair-bandwidth gate in
-        ``BENCH_erasure.json`` compares against a full re-mirror.
-        """
-        self.repairs += 1
-        self.repair_read_bytes += read_bytes
-        self.repair_write_bytes += written_bytes
-        ledger = self.replica(replica)
-        ledger.repair_read_bytes += read_bytes
-        ledger.repair_write_bytes += written_bytes
+    def post(self, replica: int, flow: Flow, nbytes: int, count: int = 1) -> None:
+        """Book ``count`` events of ``flow`` moving ``nbytes`` for ``replica``."""
+        row = self.rows.get(replica)
+        if row is None:
+            row = self.rows[replica] = [0] * (2 * _COUNTS)
+        row[flow] += nbytes
+        row[_COUNTS + flow] += count
 
     def verify_conservation(
-        self,
-        pending_by_replica: dict[int, int] | None = None,
-        expect_full_attribution: bool = False,
+        self, pending_by_replica: dict[int, int] | None = None
     ) -> dict[int, int]:
-        """Assert the per-replica ledgers balance; return outstanding bytes.
+        """Check every replica's journal ledger; return its outstanding bytes.
 
-        Checks, raising :class:`ConservationError` on the first violation:
+        Per replica, raising :class:`ConservationError` on the first
+        violation:
 
-        1. every itemized counter sums to its global twin (journaled,
-           replayed, dropped, retry, resync bytes and record counts);
-        2. per replica, ``journaled == replayed + dropped + outstanding``
-           with ``outstanding >= 0``;
-        3. when ``pending_by_replica`` is supplied (live backlog byte
-           counts, e.g. from the engine's guards), each replica's
-           outstanding bytes equal its live backlog exactly;
-        4. with ``expect_full_attribution``, no recovery byte may sit in
-           the unattributed ledger.
+        1. ``journaled == replayed + dropped + outstanding`` with
+           ``outstanding >= 0``;
+        2. when ``pending_by_replica`` is supplied (live backlog byte
+           counts, e.g. from the engine's guards), ``outstanding`` equals
+           the replica's live backlog exactly.
 
-        Returns ``{replica: outstanding_bytes}`` for every known replica.
+        Returns ``{replica: outstanding_bytes}`` for every replica with a
+        row.
         """
-
-        def _sum(attr: str) -> int:
-            return sum(getattr(r, attr) for r in self.per_replica.values())
-
-        pairs = [
-            ("journaled_bytes", self.journaled_bytes, _sum("journaled_bytes")),
-            (
-                "journaled_records",
-                self.journaled_records,
-                _sum("journaled_records"),
-            ),
-            (
-                "backlog_replay_bytes",
-                self.backlog_replay_bytes,
-                _sum("replayed_bytes"),
-            ),
-            (
-                "backlog_records_replayed",
-                self.backlog_records_replayed,
-                _sum("replayed_records"),
-            ),
-            ("dropped_bytes", self.dropped_bytes, _sum("dropped_bytes")),
-            ("retry_bytes", self.retry_bytes, _sum("retry_bytes")),
-            ("resync_bytes", self.resync_bytes, _sum("resync_bytes")),
-            ("resyncs", self.resyncs, _sum("resyncs")),
-            ("reconciles", self.reconciles, _sum("reconciles")),
-            (
-                "reconcile_sketch_bytes",
-                self.reconcile_sketch_bytes,
-                _sum("reconcile_sketch_bytes"),
-            ),
-            (
-                "reconcile_digest_bytes",
-                self.reconcile_digest_bytes,
-                _sum("reconcile_digest_bytes"),
-            ),
-            (
-                "reconcile_diff_bytes",
-                self.reconcile_diff_bytes,
-                _sum("reconcile_diff_bytes"),
-            ),
-            (
-                "fragments_shipped",
-                self.fragments_shipped,
-                _sum("fragment_ships"),
-            ),
-            (
-                "fragment_payload_bytes",
-                self.fragment_payload_bytes,
-                _sum("fragment_payload_bytes"),
-            ),
-            (
-                "repair_read_bytes",
-                self.repair_read_bytes,
-                _sum("repair_read_bytes"),
-            ),
-            (
-                "repair_write_bytes",
-                self.repair_write_bytes,
-                _sum("repair_write_bytes"),
-            ),
-        ]
-        for name, total, itemized in pairs:
-            if total != itemized:
-                raise ConservationError(
-                    f"{name} itemization does not balance: "
-                    f"global {total} != per-replica sum {itemized}"
-                )
-        if expect_full_attribution:
-            stray = self.per_replica.get(UNATTRIBUTED_REPLICA)
-            if stray is not None and (
-                stray.journaled_bytes
-                or stray.replayed_bytes
-                or stray.retry_bytes
-                or stray.resync_bytes
-                or stray.reconcile_bytes
-                or stray.dropped_bytes
-                or stray.fragment_payload_bytes
-                or stray.repair_read_bytes
-                or stray.repair_write_bytes
-            ):
-                raise ConservationError(
-                    "recovery bytes recorded without replica attribution: "
-                    f"{stray.snapshot()}"
-                )
         outstanding: dict[int, int] = {}
-        for index, ledger in self.per_replica.items():
-            balance = ledger.outstanding_bytes()
+        for index, row in sorted(self.rows.items()):
+            balance = _outstanding(row)
             if balance < 0:
                 raise ConservationError(
                     f"replica {index} replayed/dropped more than it "
                     f"journaled (outstanding {balance})"
                 )
             outstanding[index] = balance
-            if pending_by_replica is not None and index != UNATTRIBUTED_REPLICA:
+        if pending_by_replica is not None:
+            for index in sorted(outstanding.keys() | pending_by_replica.keys()):
+                balance = outstanding.get(index, 0)
                 live = pending_by_replica.get(index, 0)
                 if balance != live:
                     raise ConservationError(
@@ -576,15 +287,6 @@ class TrafficAccountant:
                         f"live backlog {live}"
                     )
         return outstanding
-
-    @property
-    def reconcile_bytes(self) -> int:
-        """Total reconcile-tier wire bytes (sketches + digests + diffs)."""
-        return (
-            self.reconcile_sketch_bytes
-            + self.reconcile_digest_bytes
-            + self.reconcile_diff_bytes
-        )
 
     @property
     def recovery_bytes(self) -> int:
@@ -628,102 +330,84 @@ class TrafficAccountant:
         replication and fault-recovery accounting surfaces through one
         ``Telemetry.snapshot()`` call.
         """
-        return {
-            "writes_total": self.writes_total,
-            "writes_replicated": self.writes_replicated,
-            "writes_skipped": self.writes_skipped,
-            "writes_failed": self.writes_failed,
-            "writes_journaled": self.writes_journaled,
-            "payload_bytes": self.payload_bytes,
-            "pdu_bytes": self.pdu_bytes,
-            "data_bytes": self.data_bytes,
-            "pdus_shipped": self.pdus_shipped,
-            "ethernet_bytes": self.ethernet_bytes,
-            "mean_payload": self.mean_payload,
-            "reduction_vs_data": (
-                -1.0
-                if self.reduction_vs_data == math.inf
-                else self.reduction_vs_data
-            ),
-            "per_write_payload_bytes": self.payload_histogram.snapshot(),
-            "batching": {
-                "batches_shipped": self.batches_shipped,
-                "batched_records": self.batched_records,
-                "batched_payload_bytes": self.batched_payload_bytes,
-                "batched_pdu_bytes": self.batched_pdu_bytes,
-                "writes_merged": self.writes_merged,
-                "records_elided": self.records_elided,
-            },
-            "resilience": {
-                "journaled_records": self.journaled_records,
-                "journaled_bytes": self.journaled_bytes,
-                "dropped_bytes": self.dropped_bytes,
-                "retries": self.retries,
-                "retry_bytes": self.retry_bytes,
-                "backlog_records_replayed": self.backlog_records_replayed,
-                "backlog_replay_bytes": self.backlog_replay_bytes,
-                "resyncs": self.resyncs,
-                "resync_bytes": self.resync_bytes,
-                "reconciles": self.reconciles,
-                "reconcile_sketch_bytes": self.reconcile_sketch_bytes,
-                "reconcile_digest_bytes": self.reconcile_digest_bytes,
-                "reconcile_diff_bytes": self.reconcile_diff_bytes,
-                "reconcile_bytes": self.reconcile_bytes,
-                "recovery_bytes": self.recovery_bytes,
-            },
-            "erasure": {
-                "erasure_writes": self.erasure_writes,
-                "fragments_shipped": self.fragments_shipped,
-                "fragment_payload_bytes": self.fragment_payload_bytes,
-                "fragments_elided": self.fragments_elided,
-                "repairs": self.repairs,
-                "repair_read_bytes": self.repair_read_bytes,
-                "repair_write_bytes": self.repair_write_bytes,
-            },
-            "per_replica": {
-                str(index): ledger.snapshot()
-                for index, ledger in sorted(self.per_replica.items())
-            },
+        out = {name: getattr(self, name) for name in _SNAPSHOT[None]}
+        if out["reduction_vs_data"] == math.inf:
+            out["reduction_vs_data"] = -1.0
+        out["per_write_payload_bytes"] = self.payload_histogram.snapshot()
+        for section in ("batching", "resilience", "erasure"):
+            out[section] = {name: getattr(self, name) for name in _SNAPSHOT[section]}
+        out["per_replica"] = {
+            str(index): {name: column(row) for name, column in _ROW_SNAPSHOT}
+            for index, row in sorted(self.rows.items())
         }
+        return out
 
     def reset(self) -> None:
         """Zero every counter."""
-        self.writes_total = 0
-        self.writes_replicated = 0
-        self.writes_skipped = 0
-        self.payload_bytes = 0
-        self.pdu_bytes = 0
-        self.data_bytes = 0
+        for name in _COUNTERS:
+            setattr(self, name, 0)
         self.per_write_payloads.clear()
         self.payload_histogram.reset()
-        self.writes_failed = 0
-        self.writes_journaled = 0
-        self.journaled_records = 0
-        self.journaled_bytes = 0
-        self.retries = 0
-        self.retry_bytes = 0
-        self.backlog_records_replayed = 0
-        self.backlog_replay_bytes = 0
-        self.resyncs = 0
-        self.resync_bytes = 0
-        self.reconciles = 0
-        self.reconcile_sketch_bytes = 0
-        self.reconcile_digest_bytes = 0
-        self.reconcile_diff_bytes = 0
-        self.pdus_shipped = 0
-        self.batches_shipped = 0
-        self.batched_records = 0
-        self.batched_payload_bytes = 0
-        self.batched_pdu_bytes = 0
-        self.writes_merged = 0
-        self.records_elided = 0
-        self.erasure_writes = 0
-        self.fragments_shipped = 0
-        self.fragment_payload_bytes = 0
-        self.fragments_elided = 0
-        self.repairs = 0
-        self.repair_read_bytes = 0
-        self.repair_write_bytes = 0
-        self.per_replica.clear()
-        self.dropped_bytes = 0
+        self.rows.clear()
 
+
+#: ``snapshot()`` layout: section (``None`` = top level) -> names, in order
+_SNAPSHOT: dict[str | None, tuple[str, ...]] = {
+    None: (
+        "writes_total",
+        "writes_replicated",
+        "writes_skipped",
+        "writes_failed",
+        "writes_journaled",
+        "payload_bytes",
+        "pdu_bytes",
+        "data_bytes",
+        "pdus_shipped",
+        "ethernet_bytes",
+        "mean_payload",
+        "reduction_vs_data",
+    ),
+    "batching": (
+        "batches_shipped",
+        "batched_records",
+        "batched_payload_bytes",
+        "batched_pdu_bytes",
+        "writes_merged",
+        "records_elided",
+    ),
+    "resilience": (
+        "journaled_records",
+        "journaled_bytes",
+        "dropped_bytes",
+        "retries",
+        "retry_bytes",
+        "backlog_records_replayed",
+        "backlog_replay_bytes",
+        "resyncs",
+        "resync_bytes",
+        "reconciles",
+        "reconcile_sketch_bytes",
+        "reconcile_digest_bytes",
+        "reconcile_diff_bytes",
+        "reconcile_bytes",
+        "recovery_bytes",
+    ),
+    "erasure": (
+        "erasure_writes",
+        "fragments_shipped",
+        "fragment_payload_bytes",
+        "fragments_elided",
+        "repairs",
+        "repair_read_bytes",
+        "repair_write_bytes",
+    ),
+}
+
+#: the counters :meth:`TrafficAccountant.charge_write` books: every
+#: snapshot name that is not a derived property
+_COUNTERS = tuple(
+    name
+    for names in _SNAPSHOT.values()
+    for name in names
+    if not isinstance(getattr(TrafficAccountant, name, None), property)
+)

@@ -47,7 +47,7 @@ from repro.common.errors import (
     SyncError,
     run_all,
 )
-from repro.engine.accounting import TrafficAccountant
+from repro.engine.accounting import Flow, TrafficAccountant
 from repro.engine.batch import BatchConfig, FlushResult, ShipBatcher
 from repro.engine.links import ReplicaLink
 from repro.engine.messages import RECORD_OVERHEAD, ReplicationRecord
@@ -118,11 +118,9 @@ class _StripeCharge:
             if delivered:
                 self._delivered += 1
                 self._payload += wire_len
-                self._accountant.record_fragment_ship(
-                    wire_len, replica=fragment
-                )
+                self._accountant.post(fragment, Flow.FRAGMENT, wire_len)
             elif journaled:
-                # journaled bytes are itemized by the guard itself
+                # journaled bytes are posted by the guard itself
                 self._journaled += 1
             self._resolve()
 
@@ -149,13 +147,13 @@ class _StripeCharge:
         if self._done:
             return
         self._done = True
-        self._accountant.record_erasure_write(
+        self._accountant.charge_write(
             self._data_len,
             self._payload,
             self._delivered,
-            self._journaled,
-            self._expected,
+            bool(self._journaled),
             elided=self._elided,
+            striped=True,
         )
 
 
@@ -577,7 +575,7 @@ class PrimaryEngine(BlockDevice):
                 )
                 if payload is None:
                     span.set("skipped", True)
-                    self.accountant.record_write(len(data), None)
+                    self.accountant.charge_write(len(data), None)
                     return
                 self._dispatch_striped(lba, data, payload, span)
                 return
@@ -589,7 +587,7 @@ class PrimaryEngine(BlockDevice):
                 )
                 if payload is None:
                     span.set("skipped", True)
-                    self.accountant.record_write(len(data), None)
+                    self.accountant.charge_write(len(data), None)
                     return
                 self._seq += 1
                 with tel.span("write.batch", lba=lba):
@@ -606,7 +604,7 @@ class PrimaryEngine(BlockDevice):
             )
             if frame is None:
                 span.set("skipped", True)
-                self.accountant.record_write(len(data), None)
+                self.accountant.charge_write(len(data), None)
                 return
             self._seq += 1
             record = ReplicationRecord.for_block(self._seq, data, frame)
@@ -673,7 +671,7 @@ class PrimaryEngine(BlockDevice):
             if self._batcher is not None:
                 for lba, data, payload in zip(lbas, datas, payloads):
                     if payload is None:
-                        self.accountant.record_write(len(data), None)
+                        self.accountant.charge_write(len(data), None)
                         continue
                     self._seq += 1
                     if self._batcher.add(
@@ -689,7 +687,7 @@ class PrimaryEngine(BlockDevice):
             pending: list[tuple[int, bytes, bytes, int]] = []
             for lba, data, payload in zip(lbas, datas, payloads):
                 if payload is None:
-                    self.accountant.record_write(len(data), None)
+                    self.accountant.charge_write(len(data), None)
                     continue
                 self._seq += 1
                 pending.append((lba, data, payload, self._seq))
@@ -769,8 +767,8 @@ class PrimaryEngine(BlockDevice):
             to_ship.append((j, frag_payload))
         if not to_ship:
             span.set("skipped", True)
-            self.accountant.record_erasure_write(
-                len(data), 0, 0, 0, 0, elided=elided
+            self.accountant.charge_write(
+                len(data), None, elided=elided, striped=True
             )
             return
         self._seq += 1
@@ -833,11 +831,11 @@ class PrimaryEngine(BlockDevice):
                 )
             if result.batch is None:
                 # every record merged to a no-op: nothing on the wire
-                self.accountant.record_batch(
-                    result.logical_writes,
+                self.accountant.charge_write(
                     result.data_bytes,
+                    None,
+                    writes=result.logical_writes,
                     records=0,
-                    payload_len=0,
                     merged=result.merged_writes,
                     elided=result.elided_records,
                 )
@@ -866,16 +864,16 @@ class PrimaryEngine(BlockDevice):
         """
         batch = result.batch
         assert batch is not None
-        copies = 1 if not self._links else delivered
-        self.accountant.record_batch(
-            result.logical_writes,
+        copies = delivered if self._links else 1
+        self.accountant.charge_write(
             result.data_bytes,
+            payload_len * copies,
+            copies,
+            bool(journaled),
+            writes=result.logical_writes,
             records=batch.record_count,
-            payload_len=payload_len,
             merged=result.merged_writes,
             elided=result.elided_records,
-            copies=copies,
-            journaled=bool(journaled) and not delivered,
         )
 
     def _charge_fanout(
@@ -887,40 +885,34 @@ class PrimaryEngine(BlockDevice):
         replicate to one node; more links multiply the wire bytes).  An
         engine with no links still charges one copy, matching the paper's
         single-node traffic accounting.  A write no link delivered is
-        journaled when some guard backlogged it, failed otherwise.
+        journaled when some guard backlogged it, failed otherwise.  A
+        delivered write counts once per copy in ``writes_total`` and
+        ``writes_replicated``.
         """
-        if not self._links:
-            self.accountant.record_write(data_len, payload_len)
-            return
-        if delivered == 0:
-            if journaled:
-                self.accountant.record_journaled_write(data_len)
-            else:
-                self.accountant.record_failed_write(data_len)
-            return
-        self.accountant.record_write(data_len, payload_len)
-        for _ in range(delivered - 1):
-            self.accountant.record_write(0, payload_len)
+        copies = delivered if self._links else 1
+        self.accountant.charge_write(
+            data_len,
+            payload_len * copies,
+            copies,
+            bool(journaled),
+            writes=copies or 1,
+        )
 
     def verify_traffic_conservation(self) -> dict[int, int]:
         """Check the accountant's per-replica ledgers against live backlogs.
 
         Raises :class:`~repro.engine.accounting.ConservationError` when a
         ledger fails to balance; returns ``{replica: outstanding_bytes}``
-        on success.  For guarded engines every recovery byte must carry a
-        replica attribution and each replica's outstanding journaled bytes
-        must equal its backlog's pending payload exactly — the invariant
-        that held only for in-order recovery before per-replica
-        itemization landed.
+        on success.  For guarded engines each replica's outstanding
+        journaled bytes must equal its backlog's pending payload exactly.
         """
         if self._guards is None:
             return self.accountant.verify_conservation()
-        pending = {
-            guard.index: guard.backlog.payload_bytes_pending
-            for guard in self._guards
-        }
         return self.accountant.verify_conservation(
-            pending_by_replica=pending, expect_full_attribution=True
+            {
+                guard.index: guard.backlog.payload_bytes_pending
+                for guard in self._guards
+            }
         )
 
     def drain(self) -> None:

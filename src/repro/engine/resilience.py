@@ -59,7 +59,7 @@ from repro.common.errors import (
     SyncError,
 )
 from repro.common.rng import make_rng
-from repro.engine.accounting import TrafficAccountant
+from repro.engine.accounting import Flow, TrafficAccountant
 from repro.engine.journal import JournalOverflowError, ReplicationJournal
 from repro.engine.links import ReplicaLink
 from repro.engine.messages import ReplicationRecord
@@ -654,8 +654,8 @@ class GuardedLink:
                 link,
                 config.retry,
                 rng=make_rng(config.seed, "retry", index),
-                on_retry=lambda wire_len: accountant.record_retry(
-                    wire_len, replica=index
+                on_retry=lambda wire_len: accountant.post(
+                    index, Flow.RETRY, wire_len
                 ),
                 telemetry=tel,
             )
@@ -789,7 +789,6 @@ class GuardedLink:
             work.verify_ack(ack)
         self.breaker.record_success()
         self._delivered_counter.inc()
-        self.accountant.record_replica_ship(work.wire_size, replica=self.index)
         return True
 
     def _journal_work(self, work: ShipWork) -> None:
@@ -806,12 +805,8 @@ class GuardedLink:
             # its ledger immediately (journaled == dropped) — the resync
             # tier will re-derive the block from the devices.
             self._journaled_counter.inc()
-            self.accountant.record_journaled_copy(
-                record.wire_size, replica=self.index
-            )
-            self.accountant.record_backlog_drop(
-                record.wire_size, replica=self.index
-            )
+            self.accountant.post(self.index, Flow.JOURNAL, record.wire_size)
+            self.accountant.post(self.index, Flow.DROP, record.wire_size)
             if self._session is not None:
                 # a suspended reconciliation must re-check this group
                 self._session.invalidate((lba,))
@@ -822,14 +817,12 @@ class GuardedLink:
             "journal.append", link=self.index, lba=lba, seq=record.seq
         )
         self._journaled_counter.inc()
-        self.accountant.record_journaled_copy(
-            record.wire_size, replica=self.index
-        )
+        self.accountant.post(self.index, Flow.JOURNAL, record.wire_size)
         dropped = self.backlog.payload_bytes_dropped_total - dropped_before
         if dropped:
             # Overflow eviction: those bytes will never replay — close the
             # ledger now so conservation holds under out-of-order recovery.
-            self.accountant.record_backlog_drop(dropped, replica=self.index)
+            self.accountant.post(self.index, Flow.DROP, dropped)
             self._enter_resync_required()
 
     def _enter_resync_required(self) -> None:
@@ -855,7 +848,7 @@ class GuardedLink:
         )
         pending = self.backlog.payload_bytes_pending
         if pending:
-            self.accountant.record_backlog_drop(pending, replica=self.index)
+            self.accountant.post(self.index, Flow.DROP, pending)
         self.backlog.clear()
         self.breaker.force_down()
 
@@ -881,8 +874,8 @@ class GuardedLink:
                     records=replayed,
                     bytes=replayed_bytes,
                 )
-            self.accountant.record_backlog_replay(
-                replayed, replayed_bytes, replica=self.index
+            self.accountant.post(
+                self.index, Flow.REPLAY, replayed_bytes, replayed
             )
 
     # -- recovery ------------------------------------------------------------
@@ -964,7 +957,7 @@ class GuardedLink:
         # not a replay (its LBAs are already remembered): close the ledger.
         pending = self.backlog.payload_bytes_pending
         if pending:
-            self.accountant.record_backlog_drop(pending, replica=self.index)
+            self.accountant.post(self.index, Flow.DROP, pending)
         self.backlog.clear()
         self.resync_required = True
         tiers: list[str] = []
@@ -978,7 +971,7 @@ class GuardedLink:
             # stalled: deterministic fallback to the full digest sweep
         tiers.append("digest")
         report = digest_sync(sync_source, dest)
-        self.accountant.record_resync(report.wire_bytes, replica=self.index)
+        self.accountant.post(self.index, Flow.RESYNC, report.wire_bytes)
         self._finish_resync()
         self.breaker.record_success()
         self._tel.counter("resilience.resync_digest").inc()
@@ -1016,7 +1009,7 @@ class GuardedLink:
         shipper = ResyncShipper(
             self.link, record_builder, session.config, session.report
         )
-        self.accountant.record_reconcile(replica=self.index)
+        self.accountant.post(self.index, Flow.RECONCILE, 0)
         stalled = False
         with self._tel.span(
             "resync.reconcile", link=self.index, rounds=session.rounds_used
@@ -1071,12 +1064,10 @@ class GuardedLink:
         """
         report = session.report
         sketch, digest, diff = self._reconcile_charged
-        self.accountant.record_reconcile_traffic(
-            sketch_bytes=report.sketch_bytes - sketch,
-            digest_bytes=report.digest_bytes - digest,
-            diff_bytes=report.diff_bytes - diff,
-            replica=self.index,
-        )
+        post = self.accountant.post
+        post(self.index, Flow.SKETCH, report.sketch_bytes - sketch)
+        post(self.index, Flow.DIGEST, report.digest_bytes - digest)
+        post(self.index, Flow.DIFF, report.diff_bytes - diff)
         self._reconcile_charged = (
             report.sketch_bytes,
             report.digest_bytes,

@@ -58,8 +58,11 @@ anything on a real link:
 Charging is one callback: the engine hands each submission a
 ``charge(delivered, journaled)`` closure, and the scheduler fires it
 exactly once, when the submission's fate on *every* target channel is
-known — so per-replica byte accounting is identical in all modes.  A
-strict (unguarded) channel's failure raises
+known — so per-replica byte accounting is identical in all modes.
+Each delivered copy is posted to its replica's
+:attr:`~repro.engine.accounting.Flow.SHIP` row as its ack settles; the
+scheduler is the only place a ship is booked, for raw and guarded
+channels alike.  A strict (unguarded) channel's failure raises
 :class:`~repro.common.errors.PartialReplicationError` naming exactly the
 channels that delivered: from :meth:`FanoutScheduler.send` when acks
 resolve at send, from :meth:`FanoutScheduler.drain` otherwise.
@@ -81,6 +84,7 @@ from repro.common.errors import (
     ReplicationError,
 )
 from repro.common.rng import make_rng
+from repro.engine.accounting import Flow, TrafficAccountant
 from repro.engine.links import ReplicaLink
 from repro.engine.work import ShipWork
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -88,7 +92,6 @@ from repro.obs.tracing import NULL_SPAN
 from repro.sim.core import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine.accounting import TrafficAccountant
     from repro.engine.resilience import GuardedLink
 
 __all__ = [
@@ -646,7 +649,7 @@ class FanoutScheduler:
         config: SchedulerConfig | None = None,
         verify_acks: bool = True,
         telemetry=None,
-        accountant: "TrafficAccountant | None" = None,
+        accountant: TrafficAccountant | None = None,
         simulator: Simulator | None = None,
     ) -> None:
         self.config = config if config is not None else SchedulerConfig()
@@ -823,10 +826,8 @@ class FanoutScheduler:
                 if outcome is DELIVERED:
                     channel.stats.acks += 1
                     succeeded.append(channel.index)
-                    if accountant is not None and channel.guard is None:
-                        accountant.record_replica_ship(
-                            work.wire_size, replica=channel.index
-                        )
+                    if accountant is not None:
+                        accountant.post(channel.index, Flow.SHIP, work.wire_size)
                 elif outcome is JOURNALED:
                     journaled += 1
                 elif failure is None:
@@ -854,10 +855,8 @@ class FanoutScheduler:
         """
         if outcome is DELIVERED:
             state.succeeded.append(index)
-            if self.accountant is not None and self.channels[index].guard is None:
-                self.accountant.record_replica_ship(
-                    state.work.wire_size, replica=index
-                )
+            if self.accountant is not None:
+                self.accountant.post(index, Flow.SHIP, state.work.wire_size)
         elif outcome is JOURNALED:
             state.journaled += 1
         elif state.failure is None:

@@ -49,6 +49,7 @@ from repro.common.errors import (
     StaleReplicaError,
     SyncError,
 )
+from repro.engine.accounting import Flow, TrafficAccountant
 
 __all__ = [
     "FragmentView",
@@ -480,7 +481,7 @@ def repair_from_survivors(
     holders: Sequence[BlockDevice],
     failed_index: int,
     replacement: BlockDevice | None = None,
-    accountant=None,
+    accountant: TrafficAccountant | None = None,
     fresh: Collection[int] | None = None,
 ) -> RepairReport:
     """Rebuild fragment ``failed_index`` from ``k`` surviving holders.
@@ -493,10 +494,9 @@ def repair_from_survivors(
     failed holder's device, assumed replaced/zeroed).  Raises
     :class:`~repro.common.errors.StaleReplicaError` before writing
     anything when fewer than ``k`` survivors are fresh — a rebuild from
-    a stale fragment would write garbage.  Charges the repair to
-    ``accountant.record_repair`` when one is given, attributed to the
-    failed fragment's channel — the per-fragment conservation law covers
-    repair traffic too.
+    a stale fragment would write garbage.  Posts the repair's read and
+    write bytes to ``accountant`` when one is given, attributed to the
+    failed fragment's channel.
     """
     if len(holders) != codec.n:
         raise ConfigurationError(
@@ -524,7 +524,8 @@ def repair_from_survivors(
         dest.write_block(lba, rebuilt)
         written += codec.fragment_size
     if accountant is not None:
-        accountant.record_repair(read_bytes, written, replica=failed_index)
+        accountant.post(failed_index, Flow.REPAIR_READ, read_bytes)
+        accountant.post(failed_index, Flow.REPAIR_WRITE, written)
     return RepairReport(
         fragment_index=failed_index,
         blocks=num_blocks,

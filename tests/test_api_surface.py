@@ -145,7 +145,6 @@ ENGINE_EXPORTS = {
     "ReplicaChannel",
     "ReplicaEngine",
     "ReplicaLink",
-    "ReplicaTraffic",
     "ReplicationJournal",
     "ReplicationRecord",
     "ReplicationStrategy",

@@ -21,7 +21,12 @@ from repro.engine import (
     make_strategy,
     verify_consistency,
 )
-from repro.engine.accounting import TrafficAccountant, ethernet_wire_bytes
+from repro.engine.accounting import (
+    ConservationError,
+    Flow,
+    TrafficAccountant,
+    ethernet_wire_bytes,
+)
 from repro.engine.strategy import strategy_names
 from repro.raid import Raid5Array
 
@@ -262,8 +267,8 @@ class TestSync:
 class TestAccounting:
     def test_counters(self):
         accountant = TrafficAccountant()
-        accountant.record_write(8192, 400)
-        accountant.record_write(8192, None)
+        accountant.charge_write(8192, 400)
+        accountant.charge_write(8192, None)
         assert accountant.writes_total == 2
         assert accountant.writes_replicated == 1
         assert accountant.writes_skipped == 1
@@ -290,7 +295,29 @@ class TestAccounting:
 
     def test_reset(self):
         accountant = TrafficAccountant()
-        accountant.record_write(100, 50)
+        accountant.charge_write(100, 50)
+        accountant.post(0, Flow.RETRY, 64)
         accountant.reset()
         assert accountant.writes_total == 0
+        assert accountant.retry_bytes == 0
         assert accountant.per_write_payloads == []
+
+    def test_conservation_live_backlog_mismatch(self):
+        accountant = TrafficAccountant()
+        accountant.post(0, Flow.JOURNAL, 100)
+        assert accountant.verify_conservation({0: 100}) == {0: 100}
+        with pytest.raises(ConservationError, match="live backlog 40"):
+            accountant.verify_conservation({0: 40})
+        # a live backlog on a replica the ledger never journaled to
+        with pytest.raises(ConservationError, match="replica 1"):
+            accountant.verify_conservation({0: 100, 1: 8})
+
+    def test_conservation_replayed_plus_dropped_exceeds_journaled(self):
+        accountant = TrafficAccountant()
+        accountant.post(2, Flow.JOURNAL, 100, count=2)
+        accountant.post(2, Flow.REPLAY, 70)
+        accountant.post(2, Flow.DROP, 30)
+        assert accountant.verify_conservation() == {2: 0}
+        accountant.post(2, Flow.DROP, 1)
+        with pytest.raises(ConservationError, match="outstanding -1"):
+            accountant.verify_conservation()

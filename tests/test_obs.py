@@ -16,7 +16,7 @@ import pytest
 
 from repro.block.memory import MemoryBlockDevice
 from repro.block.stats import CountingDevice, IoCounters
-from repro.engine.accounting import TrafficAccountant, ethernet_wire_bytes
+from repro.engine.accounting import Flow, TrafficAccountant, ethernet_wire_bytes
 from repro.engine.links import DirectLink
 from repro.engine.primary import PrimaryEngine
 from repro.engine.replica import ReplicaEngine
@@ -408,7 +408,7 @@ class TestEthernetWireBytes:
     def test_accountant_total_matches_linear_model(self):
         accountant = TrafficAccountant()
         for payload in (10, 1499, 1500, 1501, 9000):
-            accountant.record_write(8192, payload)
+            accountant.charge_write(8192, payload)
         assert accountant.ethernet_bytes == pytest.approx(
             sum(
                 ethernet_wire_bytes(p) for p in (10, 1499, 1500, 1501, 9000)
@@ -427,7 +427,7 @@ class TestAccountantBounds:
         raw = TrafficAccountant(keep_raw=True)
         for acct in (bounded, raw):
             for payload in (100, 200, 300):
-                acct.record_write(8192, payload)
+                acct.charge_write(8192, payload)
         assert bounded.per_write_payloads == []
         assert raw.per_write_payloads == [100, 200, 300]
         # the bounded histogram is maintained either way
@@ -436,10 +436,10 @@ class TestAccountantBounds:
 
     def test_snapshot_is_json_safe_and_complete(self):
         acct = TrafficAccountant()
-        acct.record_write(8192, 500)
-        acct.record_write(8192, None)  # skipped
-        acct.record_retry(64)
-        acct.record_resync(1024)
+        acct.charge_write(8192, 500)
+        acct.charge_write(8192, None)  # skipped
+        acct.post(0, Flow.RETRY, 64)
+        acct.post(0, Flow.RESYNC, 1024)
         snap = acct.snapshot()
         json.dumps(snap)  # must not raise
         assert snap["writes_total"] == 2
@@ -451,12 +451,12 @@ class TestAccountantBounds:
 
     def test_reduction_inf_encodes_as_negative_one(self):
         acct = TrafficAccountant()
-        acct.record_write(8192, None)
+        acct.charge_write(8192, None)
         assert acct.snapshot()["reduction_vs_data"] == -1.0
 
     def test_reset_clears_histogram(self):
         acct = TrafficAccountant(keep_raw=True)
-        acct.record_write(8192, 500)
+        acct.charge_write(8192, 500)
         acct.reset()
         assert acct.payload_histogram.count == 0
         assert acct.per_write_payloads == []

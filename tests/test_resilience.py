@@ -44,6 +44,7 @@ from repro.engine import (
     make_strategy,
     verify_consistency,
 )
+from repro.engine.accounting import ConservationError, Flow
 from repro.engine.messages import ReplicationRecord
 from repro.engine.reconcile import (
     GROUP_SKETCH_OVERHEAD,
@@ -1512,6 +1513,27 @@ class TestHealCycleConservation:
         assert cluster.verify() == {}
         assert cluster.total_resync_bytes >= 0
         cluster.verify_traffic_conservation()
+
+    def test_backlog_emptied_off_the_books_is_caught(self, rng):
+        """Live backlog and ledger disagree: bytes left without a drop."""
+        engine, *_ = _resilient_stack()
+        engine.fail_link(0)
+        engine.write_block(0, block(rng))
+        assert engine.verify_traffic_conservation() == {
+            0: engine.guards[0].backlog.payload_bytes_pending
+        }
+        engine.guards[0].backlog.clear()  # no Flow.DROP posted
+        with pytest.raises(ConservationError, match="live backlog 0"):
+            engine.verify_traffic_conservation()
+
+    def test_replaying_more_than_journaled_is_caught(self, rng):
+        engine, *_ = _resilient_stack()
+        engine.fail_link(0)
+        engine.write_block(0, block(rng))
+        pending = engine.guards[0].backlog.payload_bytes_pending
+        engine.accountant.post(0, Flow.REPLAY, pending + 1)
+        with pytest.raises(ConservationError, match="more than it journaled"):
+            engine.verify_traffic_conservation()
 
 
 # ---------------------------------------------------------------------------

@@ -388,7 +388,7 @@ def test_fragment_accounting_itemizes_and_balances():
             r["fragment_payload_bytes"]
             for r in snapshot["per_replica"].values()
         )
-        accountant.verify_conservation(expect_full_attribution=True)
+        accountant.verify_conservation()
 
 
 def test_zero_delta_fragments_are_elided():
