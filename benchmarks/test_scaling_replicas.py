@@ -3,7 +3,7 @@
 The paper scales its queueing model by population = nodes × replicas
 (Sec. 3.3: "if we have 10 nodes ... and each write is replicated to 4
 replica nodes, then the population is 40").  This benchmark grounds that
-product in the engine itself: a real :class:`StorageCluster` at increasing
+product in the engine itself: a real cluster (:func:`repro.api.open_cluster`) at increasing
 replica counts, measured traffic per strategy, and the resulting modeled
 response time on a T1 line.
 """
@@ -13,10 +13,10 @@ from __future__ import annotations
 from conftest import bench_scale
 
 from repro.analysis import format_table
+from repro.api import ReplicationConfig, open_cluster
 from repro.block import MemoryBlockDevice
 from repro.common.rng import make_rng
 from repro.engine import (
-    ClusterConfig,
     DirectLink,
     LatencyLink,
     PrimaryEngine,
@@ -24,7 +24,6 @@ from repro.engine import (
     ResilienceConfig,
     SchedulerConfig,
     SimClock,
-    StorageCluster,
     make_strategy,
 )
 from repro.queueing import ReplicationNetworkModel, StrategyTraffic, T1
@@ -38,12 +37,12 @@ PER_LINK_LATENCY_S = (0.002, 0.002, 0.004, 0.008)
 
 def run_cluster(strategy: str, replicas: int, writes: int) -> tuple[int, float]:
     """Return (total payload bytes, mean payload per write)."""
-    cluster = StorageCluster(
-        ClusterConfig(
+    cluster = open_cluster(
+        ReplicationConfig(
             nodes=NODES,
-            replicas_per_node=replicas,
+            replicas=replicas,
             block_size=BLOCK_SIZE,
-            blocks_per_node=64,
+            num_blocks=64,
             strategy=strategy,
         )
     )

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """The paper's Figure 1 system: N nodes forming a shared storage pool.
 
-Builds a :class:`~repro.engine.cluster.StorageCluster` — every node owns
-local storage, replicates its writes to a subset of peer nodes (round-
+Builds a cluster with :func:`repro.api.open_cluster` — every node is a
+full primary stack with local storage, replicates its writes to a subset of peer nodes (round-
 robin successor placement), and can serve any peer's data after that peer
 fails.  Also demonstrates the disconnect → journal → catch-up path for a
 replica that drops off the network, and feeds the cluster's measured
@@ -26,14 +26,14 @@ def main() -> None:
     config = ReplicationConfig(
         strategy="prins",
         nodes=NODES,
-        replicas_per_node=REPLICAS,
+        replicas=REPLICAS,
         block_size=BLOCK_SIZE,
         num_blocks=128,
     )
     cluster = open_cluster(config)
     print(
         f"cluster: {NODES} nodes x {REPLICAS} replicas "
-        f"(queueing population {cluster.config.population})"
+        f"(queueing population {cluster.population})"
     )
     for node_id, replicas in sorted(cluster.placement.items()):
         print(f"  node {node_id} -> replicas {replicas}")
@@ -77,8 +77,8 @@ def main() -> None:
     )
     print(
         f"\nmeasured mean payload {mean_payload:.0f} B/write -> modeled "
-        f"replication response time at population {cluster.config.population} on T1: "
-        f"{model.response_time(cluster.config.population) * 1000:.1f} ms"
+        f"replication response time at population {cluster.population} on T1: "
+        f"{model.response_time(cluster.population) * 1000:.1f} ms"
     )
 
 

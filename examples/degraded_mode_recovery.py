@@ -39,7 +39,7 @@ def main() -> None:
     config = ReplicationConfig(
         strategy="prins",
         nodes=NODES,
-        replicas_per_node=REPLICAS,
+        replicas=REPLICAS,
         block_size=BLOCK_SIZE,
         num_blocks=BLOCKS,
         resilient=True,

@@ -19,7 +19,10 @@ documentation file it verifies that
   ```` `Class.member(args)` ````) whose ``Class`` is defined under
   ``src/repro`` names a method, attribute or nested class of that class
   or of one of its bases defined there, so a deleted method cannot
-  linger in the docs.
+  linger in the docs;
+* every keyword of a ``ReplicationConfig(...)`` call, in inline code or
+  a fenced block, names a current field of that dataclass (read from
+  ``src/repro/api.py``), so a removed config field cannot linger either.
 
 Exit status is the number of broken references (0 == all good), so CI
 can gate on it directly::
@@ -34,6 +37,7 @@ import re
 import sys
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,6 +64,14 @@ _MODULE = re.compile(r"`(repro(?:\.[a-z_][a-z0-9_]*)+)`")
 _MEMBER = re.compile(
     r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:\([^`]*\))?`"
 )
+
+#: fenced code blocks, then inline code spans: where config calls are read.
+_FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.MULTILINE | re.DOTALL)
+_INLINE = re.compile(r"`([^`]+)`")
+
+#: the start of a ``ReplicationConfig(...)`` call, and one keyword in it.
+_CONFIG_CALL = re.compile(r"\bReplicationConfig\(")
+_KEYWORD = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*=(?!=)")
 
 #: markdown headings, for anchor validation.
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -147,6 +159,41 @@ def has_member(cls: str, member: str, seen: frozenset = frozenset()) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
+def config_fields() -> frozenset[str]:
+    """The annotated fields of ``ReplicationConfig`` in ``src/repro/api.py``."""
+    tree = ast.parse((REPO_ROOT / "src" / "repro" / "api.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "ReplicationConfig":
+            return frozenset(
+                item.target.id
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+            )
+    return frozenset()
+
+
+def config_keywords(text: str) -> Iterator[str]:
+    """Keywords of every ``ReplicationConfig(...)`` call in ``text``'s code.
+
+    Only the call's own keywords count: anything nested in brackets
+    (``observability=ObservabilityConfig(enabled=True)``) is masked out.
+    """
+    fenced = _FENCE.findall(text)
+    code = fenced + _INLINE.findall(_FENCE.sub("", text))
+    for snippet in code:
+        for match in _CONFIG_CALL.finditer(snippet):
+            depth, args = 1, []
+            for char in snippet[match.end() :]:
+                depth += char in "([{"
+                depth -= char in ")]}"
+                if depth == 0:
+                    break
+                args.append(char if depth == 1 else " ")
+            yield from _KEYWORD.findall("".join(args))
+
+
 def check_file(doc: Path) -> list[str]:
     """Return a list of human-readable problems found in ``doc``."""
     problems: list[str] = []
@@ -182,6 +229,10 @@ def check_file(doc: Path) -> list[str]:
         cls, member = match.groups()
         if cls in class_index() and not has_member(cls, member):
             problems.append(f"{doc.name}: no member `{cls}.{member}`")
+
+    for keyword in config_keywords(text):
+        if keyword not in config_fields():
+            problems.append(f"{doc.name}: no ReplicationConfig field `{keyword}`")
 
     return problems
 

@@ -20,9 +20,10 @@ Configs round-trip losslessly through plain dicts
 (:meth:`ReplicationConfig.to_dict` / :meth:`ReplicationConfig.from_dict`),
 so an experiment can be pinned in a JSON file and rebuilt bit-identically.
 
-The lower-level constructors (:class:`~repro.engine.primary.PrimaryEngine`,
-:class:`~repro.engine.cluster.StorageCluster`, …) remain public and
-stable; this module is sugar over them, not a replacement.
+The lower-level constructor :class:`~repro.engine.primary.PrimaryEngine`
+remains public and stable; this module is sugar over it, not a
+replacement.  A :class:`~repro.engine.cluster.StorageCluster` is only
+built here: one :func:`open_primary`-shaped stack per node.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Any
 from repro.block.memory import MemoryBlockDevice
 from repro.common.errors import ConfigurationError, run_all
 from repro.engine.batch import BatchConfig
-from repro.engine.cluster import ClusterConfig, StorageCluster
+from repro.engine.cluster import StorageCluster
 from repro.engine.links import DirectLink, InitiatorLink, ReplicaLink
 from repro.engine.primary import PrimaryEngine
 from repro.engine.replica import ReplicaEngine
@@ -53,7 +54,7 @@ from repro.engine.stripe import (
     stripe_full_sync,
     verify_fragments,
 )
-from repro.engine.sync import full_sync
+from repro.engine.sync import full_sync, verify_consistency
 from repro.iscsi.initiator import Initiator
 from repro.iscsi.target import TargetServer
 from repro.iscsi.transport import TcpTransport
@@ -142,8 +143,8 @@ class ReplicationConfig:
     * **strategy** — ``strategy`` (traditional / compressed / prins) and
       ``codec`` (``None`` = the strategy's default codec);
     * **geometry** — ``block_size`` / ``num_blocks`` (per device) and
-      ``replicas`` (mirror width for :func:`open_primary`); clusters use
-      ``nodes`` / ``replicas_per_node`` instead;
+      ``replicas`` (mirror width); clusters add ``nodes``, and each node
+      mirrors to ``replicas`` of its peers;
     * **redundancy** — ``redundancy="mirror"`` (default: full copies) or
       ``redundancy="erasure"`` with the ``k`` / ``n`` code shape: each
       write splits into ``n`` coded fragments of ``block_size / k``
@@ -189,7 +190,6 @@ class ReplicationConfig:
     num_blocks: int = 256
     replicas: int = 1
     nodes: int = 4
-    replicas_per_node: int = 2
     # -- redundancy ------------------------------------------------------------
     redundancy: str = "mirror"
     k: int = 4
@@ -401,21 +401,6 @@ class ReplicationConfig:
             return None
         return StripeConfig(k=self.k, n=self.n)
 
-    def cluster_config(self) -> ClusterConfig:
-        """The multi-node shape for :func:`open_cluster`."""
-        return ClusterConfig(
-            nodes=self.nodes,
-            replicas_per_node=self.replicas_per_node,
-            block_size=self.block_size,
-            blocks_per_node=self.num_blocks,
-            strategy=self.strategy,
-            codec=self.codec,
-            redundancy=self.redundancy,
-            k=self.k,
-            n=self.n,
-            read_policy=self.read_policy,
-        )
-
     def telemetry_instance(self) -> Any:
         """A live registry when telemetry/observability is on, else the default.
 
@@ -496,25 +481,31 @@ class PrimaryStack:
         self.engine.drain()
 
     def verify(self) -> bool:
-        """True when every replica matches the primary.
+        """True when every replica matches the primary (see :meth:`mismatches`)."""
+        return not self.mismatches()
 
-        Mirror tier: each replica device is byte-identical to the
-        primary.  Erasure tier: each fragment holder is byte-identical to
-        its derived fragment of the primary (the stripe-group
-        consistency invariant).  Threaded channels (``workers="threads"``
-        or ``"process"``) may still be sending, so their sends are waited
-        for first; nothing is flushed or charged and no stashed failure
-        is raised — that is :meth:`drain`.
+    def mismatches(self) -> dict[int, list[int]]:
+        """``{replica index: mismatched LBAs}``; empty when all replicas match.
+
+        Mirror tier: each replica device must be byte-identical to the
+        primary.  Erasure tier: each fragment holder must be
+        byte-identical to its derived fragment of the primary (the
+        stripe-group consistency invariant).  Threaded channels
+        (``workers="threads"`` or ``"process"``) may still be sending, so
+        their sends are waited for first; nothing is flushed or charged
+        and no stashed failure is raised — that is :meth:`drain`.
         """
         engine = self.engine
         engine.scheduler.wait_idle()
         codec = engine.stripe_codec
         if codec is not None:
-            return not verify_fragments(codec, self.device, self.replica_devices)
+            return verify_fragments(codec, self.device, self.replica_devices)
         snapshot = self.device.snapshot()
-        return all(
-            replica.snapshot() == snapshot for replica in self.replica_devices
-        )
+        return {
+            index: verify_consistency(self.device, replica)
+            for index, replica in enumerate(self.replica_devices)
+            if replica.snapshot() != snapshot
+        }
 
     def read_striped(self, lba: int, exclude: Any = ()) -> bytes:
         """Reassemble block ``lba`` from any ``k`` healthy fragment holders."""
@@ -557,6 +548,29 @@ def open_primary(
     (thresholds the flat config deliberately doesn't expose).
     """
     config = config or ReplicationConfig()
+    live = config.telemetry or config.observability.enabled
+    return _open_stack(
+        config,
+        config.telemetry_instance(),
+        telemetry_name or ("api.primary" if live else None),
+        initial_image=initial_image,
+        link_factory=link_factory,
+        accountant=accountant,
+        resilience=resilience,
+    )
+
+
+def _open_stack(
+    config: ReplicationConfig,
+    telemetry: Any,
+    telemetry_name: str | None,
+    *,
+    initial_image: bytes | None = None,
+    link_factory: Any = None,
+    accountant: Any = None,
+    resilience: ResilienceConfig | None = None,
+) -> PrimaryStack:
+    """Wire one primary stack; :func:`open_primary` and :func:`open_cluster` share it."""
     strategy = config.strategy_instance()
     stripe = config.stripe_config()
     device = MemoryBlockDevice(config.block_size, config.num_blocks)
@@ -596,7 +610,6 @@ def open_primary(
             replica_engines.append(replica_engine)
             links.append(link)
     codec_pool = config.codec_pool_instance()
-    telemetry = config.telemetry_instance()
     engine = PrimaryEngine(
         device,
         strategy,
@@ -607,12 +620,7 @@ def open_primary(
         else config.resilience_config(),
         accountant=accountant,
         telemetry=telemetry,
-        telemetry_name=telemetry_name
-        or (
-            "api.primary"
-            if config.telemetry or config.observability.enabled
-            else None
-        ),
+        telemetry_name=telemetry_name,
         batch=config.batch_config(),
         scheduler=config.scheduler_config(),
         stripe=stripe,
@@ -669,14 +677,19 @@ def open_cluster(
     link_factory: Any = None,
     resilience: ResilienceConfig | None = None,
 ) -> StorageCluster:
-    """Build the Fig. 1 multi-node pool from one :class:`ReplicationConfig`.
+    """Build the Fig. 1 multi-node pool: one primary stack per node.
 
-    Returns a fully wired :class:`~repro.engine.cluster.StorageCluster`;
-    ``placement`` and ``link_factory`` pass straight through to it.  A
-    ``resilient=True`` config enables per-channel journaling and the
-    fail/heal node lifecycle (``resilience=`` substitutes a hand-tuned
-    policy); ``fanout="pipelined"`` widens every node's scheduler window
-    from 1 to ``window``.
+    Node ``p`` is wired exactly like an :func:`open_primary` stack from
+    ``config``; its replica ``i`` (erasure: fragment holder ``i``) is
+    hosted by node ``placement[p][i]``.  The default placement is
+    successor lists (chained declustering): node ``p`` replicates to
+    nodes ``p + 1 … p + replicas`` modulo ``nodes`` (``n`` successors on
+    the erasure tier).  ``link_factory`` decorates each channel, called
+    as ``link_factory(primary_id, replica_id, base_link)``.
+    ``resilience`` substitutes a hand-tuned fault policy for the
+    config's.  All nodes share one telemetry registry, with sources
+    ``cluster.node<p>`` and ``cluster``.  Returns a
+    :class:`~repro.engine.cluster.StorageCluster`.
     """
     config = config or ReplicationConfig()
     if config.transport != "inline":
@@ -684,14 +697,43 @@ def open_cluster(
             "open_cluster wires its nodes in-process; the tcp "
             "transport tier applies to open_primary only"
         )
-    return StorageCluster(
-        config.cluster_config(),
-        placement=placement,
-        resilience=resilience
-        if resilience is not None
-        else config.resilience_config(),
-        link_factory=link_factory,
-        telemetry=config.telemetry_instance(),
-        batch=config.batch_config(),
-        scheduler=config.scheduler_config(),
-    )
+    nodes = config.nodes
+    width = config.n if config.redundancy == "erasure" else config.replicas
+    if width > nodes - 1:
+        raise ConfigurationError(
+            f"each node ships to {width} distinct peers, so the cluster "
+            f"needs at least {width + 1} nodes, got nodes={nodes}"
+        )
+    if placement is None:
+        placement = {
+            p: [(p + offset) % nodes for offset in range(1, width + 1)]
+            for p in range(nodes)
+        }
+    if sorted(placement) != list(range(nodes)):
+        raise ConfigurationError(
+            f"placement must map every node 0..{nodes - 1}, "
+            f"got {sorted(placement)}"
+        )
+    for node_id, hosts in placement.items():
+        others = set(range(nodes)) - {node_id}
+        if len(hosts) != width or len(set(hosts) & others) != width:
+            raise ConfigurationError(
+                f"node {node_id} must list {width} distinct hosts other "
+                f"than itself among nodes 0..{nodes - 1} (position = "
+                f"replica index), got {hosts}"
+            )
+    telemetry = config.telemetry_instance()
+
+    def stack(p: int) -> PrimaryStack:
+        hosts = placement[p]
+        return _open_stack(
+            config,
+            telemetry,
+            f"cluster.node{p}",
+            link_factory=None
+            if link_factory is None
+            else lambda index, link: link_factory(p, hosts[index], link),
+            resilience=resilience,
+        )
+
+    return StorageCluster([stack(p) for p in range(nodes)], placement)

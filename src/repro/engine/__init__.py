@@ -31,7 +31,7 @@ from repro.engine.batch import (
     ShipBatch,
     ShipBatcher,
 )
-from repro.engine.cluster import ClusterConfig, StorageCluster, VerifyReport
+from repro.engine.cluster import StorageCluster, VerifyReport
 from repro.engine.journal import JournalingLink, ReplicationJournal
 from repro.engine.links import DirectLink, InitiatorLink, ReplicaLink
 from repro.engine.messages import ReplicationRecord
@@ -78,7 +78,6 @@ __all__ = [
     "BatchConfig",
     "BatchEntry",
     "CircuitBreaker",
-    "ClusterConfig",
     "CodecWorkerPool",
     "CompressedBlockStrategy",
     "ConservationError",

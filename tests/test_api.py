@@ -148,7 +148,9 @@ class TestConcurrencyConfig:
         with pytest.raises(ConfigurationError):
             ReplicationConfig.from_dict({"transport": "asyncio"})
 
-    @pytest.mark.parametrize("key", ["shards", "old_block_cache"])
+    @pytest.mark.parametrize(
+        "key", ["shards", "old_block_cache", "replicas_per_node"]
+    )
     def test_removed_config_keys_rejected(self, key):
         with pytest.raises(ConfigurationError):
             ReplicationConfig.from_dict({key: 2})
@@ -377,18 +379,18 @@ class TestOpenCluster:
     def test_cluster_shape_from_config(self):
         cluster = open_cluster(
             ReplicationConfig(
-                block_size=BS, num_blocks=N, nodes=5, replicas_per_node=2
+                block_size=BS, num_blocks=N, nodes=5, replicas=2
             )
         )
-        assert cluster.config.nodes == 5
-        assert cluster.config.population == 10
+        assert len(cluster.nodes) == 5
+        assert cluster.population == 10
 
     def test_resilient_pipelined_cluster_round_trip(self):
         config = ReplicationConfig(
             block_size=BS,
             num_blocks=N,
             nodes=3,
-            replicas_per_node=1,
+            replicas=1,
             resilient=True,
             fanout="pipelined",
             window=2,
@@ -416,11 +418,14 @@ class TestOpenCluster:
     def test_codec_flows_into_cluster_strategy(self):
         cluster = open_cluster(
             ReplicationConfig(
-                block_size=BS, num_blocks=N, nodes=2, replicas_per_node=1,
+                block_size=BS, num_blocks=N, nodes=2, replicas=1,
                 codec="zlib",
             )
         )
-        assert cluster.config.codec == "zlib"
+        assert [node.engine.strategy.codec.name for node in cluster.nodes] == [
+            "zlib",
+            "zlib",
+        ]
 
 
 class TestDeprecationShims:

@@ -34,7 +34,6 @@ CONFIG_FIELDS = (
     "num_blocks",
     "replicas",
     "nodes",
-    "replicas_per_node",
     "redundancy",
     "k",
     "n",
@@ -118,7 +117,6 @@ ENGINE_EXPORTS = {
     "BatchConfig",
     "BatchEntry",
     "CircuitBreaker",
-    "ClusterConfig",
     "CodecWorkerPool",
     "CompressedBlockStrategy",
     "ConservationError",

@@ -1,4 +1,4 @@
-"""``scripts/check_doc_links.py`` reports a ``Class.member`` that no longer exists."""
+"""``scripts/check_doc_links.py`` reports members and config fields that no longer exist."""
 
 from __future__ import annotations
 
@@ -26,3 +26,19 @@ def test_deleted_member_is_reported(tmp_path):
     )
     problems = _checker().check_file(doc)
     assert problems == ["doc.md: no member `TrafficAccountant.record_write`"]
+
+
+def test_removed_config_field_is_reported(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Mirror with `ReplicationConfig(replicas_per_node=2)`.\n\n"
+        "```python\n"
+        'config = ReplicationConfig(strategy="prins", replicas=2,\n'
+        "                           observability=ObservabilityConfig(\n"
+        "                               enabled=True))\n"
+        "```\n"
+    )
+    problems = _checker().check_file(doc)
+    assert problems == [
+        "doc.md: no ReplicationConfig field `replicas_per_node`"
+    ]

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import ReplicationConfig, open_primary
+from repro.api import ReplicationConfig, open_cluster, open_primary
 from repro.block import MemoryBlockDevice
 from repro.common.errors import (
     ConfigurationError,
@@ -29,7 +29,6 @@ from repro.common.errors import (
 from repro.common.rng import make_rng
 from repro.engine import (
     CircuitBreaker,
-    ClusterConfig,
     DirectLink,
     FaultyLink,
     InjectedLinkError,
@@ -40,7 +39,6 @@ from repro.engine import (
     ResilientLink,
     RetryPolicy,
     ShipWork,
-    StorageCluster,
     make_strategy,
     verify_consistency,
 )
@@ -755,14 +753,9 @@ def _flaky_cluster(
     fail_fraction: float = 0.3,
     seed: int = 11,
     config: ResilienceConfig | None = None,
-    **cluster_overrides,
 ):
-    cluster_config = ClusterConfig(
-        nodes=nodes,
-        replicas_per_node=2,
-        block_size=BS,
-        blocks_per_node=N,
-        **cluster_overrides,
+    cluster_config = ReplicationConfig(
+        nodes=nodes, replicas=2, block_size=BS, num_blocks=N
     )
     faulty: dict[tuple[int, int], FaultyLink] = {}
 
@@ -776,7 +769,7 @@ def _flaky_cluster(
         faulty[(primary_id, replica_id)] = wrapped
         return wrapped
 
-    cluster = StorageCluster(
+    cluster = open_cluster(
         cluster_config,
         resilience=config or ResilienceConfig(),
         link_factory=factory,
@@ -886,9 +879,8 @@ class TestClusterDegradedMode:
         assert cluster.read(0, 3) == b"h" * BS
 
     def test_strict_cluster_rejects_fault_api(self):
-        cluster = StorageCluster(
-            ClusterConfig(nodes=4, replicas_per_node=2, block_size=BS,
-                          blocks_per_node=N)
+        cluster = open_cluster(
+            ReplicationConfig(nodes=4, replicas=2, block_size=BS, num_blocks=N)
         )
         with pytest.raises(ConfigurationError):
             cluster.fail_node(1)

@@ -487,7 +487,7 @@ def test_cluster_erasure_write_read_repair():
     # a holder's disk is lost: rebuild every fragment it hosted
     placement = cluster.placement[0]
     victim = placement[2]
-    region = cluster.nodes[victim].replica_regions[0]
+    region = cluster.nodes[0].replica_devices[2]
     region.load(bytes(region.block_size * region.num_blocks))
     assert cluster.verify() != {}
     reports = cluster.repair_node(victim)
