@@ -46,6 +46,7 @@ DEFAULT_DOCS = [
     "DESIGN.md",
     "ARCHITECTURE.md",
     "EXPERIMENTS.md",
+    "ROADMAP.md",
 ]
 
 #: ``[text](target)`` — non-greedy text, target up to the closing paren.

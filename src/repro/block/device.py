@@ -8,6 +8,7 @@ block device" (Sec. 2).
 
 from __future__ import annotations
 
+import zlib
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 
@@ -107,6 +108,16 @@ class BlockDevice(ABC):
         if view.nbytes != self._block_size:
             raise BlockSizeError(self._block_size, view.nbytes)
         self._write(lba, view.tobytes())
+
+    def block_crc(self, lba: int) -> int:
+        """Return ``zlib.crc32`` of block ``lba``'s current contents.
+
+        The default reads the block and hashes it, so a wrapper or a
+        media-backed device re-reads what is stored every time.  A device
+        that sees every change to its own bytes may cache the value, as
+        long as the result always equals ``crc32(read_block(lba))``.
+        """
+        return zlib.crc32(self.read_block(lba))
 
     def read_blocks(self, lba: int, count: int) -> bytes:
         """Read ``count`` consecutive blocks starting at ``lba``."""

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import zlib
+
 from repro.block.device import BlockDevice
 from repro.common.errors import BlockSizeError
 
@@ -12,11 +15,19 @@ class MemoryBlockDevice(BlockDevice):
     This is the default substrate for tests and traffic experiments: reads
     and writes are exact and instantaneous, and the full image can be
     snapshotted with :meth:`snapshot` for consistency checks.
+
+    It also keeps a lazily filled per-LBA CRC table for :meth:`block_crc`.
+    Every mutator clears the entries it overwrites, so a cached CRC is
+    always that of the bytes last written through the device.  One lock
+    orders a mutator's clear against a miss's hash-and-store: a replica
+    apply thread may write a block while a heal hashes it.
     """
 
     def __init__(self, block_size: int, num_blocks: int) -> None:
         super().__init__(block_size, num_blocks)
         self._data = bytearray(block_size * num_blocks)
+        self._crcs: list[int | None] = [None] * num_blocks
+        self._crc_lock = threading.Lock()
 
     def _read(self, lba: int) -> bytes:
         offset = lba * self._block_size
@@ -37,7 +48,9 @@ class MemoryBlockDevice(BlockDevice):
 
     def _write(self, lba: int, data: bytes) -> None:
         offset = lba * self._block_size
-        self._data[offset : offset + self._block_size] = data
+        with self._crc_lock:
+            self._data[offset : offset + self._block_size] = data
+            self._crcs[lba] = None
 
     def write_block_from(self, lba: int, buf) -> None:
         """Copy a scratch buffer straight into the backing bytearray.
@@ -51,7 +64,26 @@ class MemoryBlockDevice(BlockDevice):
         if view.nbytes != self._block_size:
             raise BlockSizeError(self._block_size, view.nbytes)
         offset = lba * self._block_size
-        self._data[offset : offset + self._block_size] = view
+        with self._crc_lock:
+            self._data[offset : offset + self._block_size] = view
+            self._crcs[lba] = None
+
+    def block_crc(self, lba: int) -> int:
+        """CRC-32 of block ``lba``, hashed at most once per write.
+
+        The first call after a write hashes the block straight from the
+        backing bytearray; later calls return the cached value.
+        """
+        self._check_lba(lba)
+        crc = self._crcs[lba]
+        if crc is not None:
+            return crc
+        offset = lba * self._block_size
+        with self._crc_lock:  # crc32 releases the GIL on a large block
+            crc = self._crcs[lba] = zlib.crc32(
+                memoryview(self._data)[offset : offset + self._block_size]
+            )
+        return crc
 
     def snapshot(self) -> bytes:
         """Return an immutable copy of the whole device image."""
@@ -63,4 +95,6 @@ class MemoryBlockDevice(BlockDevice):
             raise ValueError(
                 f"image is {len(image)} bytes, device holds {self.capacity_bytes}"
             )
-        self._data[:] = image
+        with self._crc_lock:
+            self._data[:] = image
+            self._crcs = [None] * self._num_blocks

@@ -52,16 +52,21 @@ O(volume):
   that full session is the scrub for divergence nobody tracked.
 
 Like :func:`~repro.engine.sync.digest_sync`, this is a wire-cost
-*simulation*: both devices are read locally and every exchange a real
+*simulation*: both devices sit in this process and every exchange a real
 protocol would make is charged to the session's
-:class:`ReconcileReport`.
+:class:`ReconcileReport`.  Sketches and group digests take each block's
+CRC from :meth:`~repro.block.device.BlockDevice.block_crc`.  A memory
+device answers from its CRC table, which its own writes clear, so a heal
+reads no clean block and hashes only the blocks written since their CRC
+was last taken; other devices read and hash the block.  A dirty block is
+read on both sides to ship it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -189,8 +194,13 @@ class ReconcileReport:
         }
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def _bit_of(lba: int, crc: int, nbits: int, salt: int) -> int:
-    """The parity-bitmap bit that key ``(lba, crc)`` flips under ``salt``."""
+    """The parity-bitmap bit that key ``(lba, crc)`` flips under ``salt``.
+
+    Pure, and memoized: a round's salt repeats from heal to heal, so a
+    clean block's key is hashed once, not once per heal.
+    """
     digest = hashlib.blake2b(
         _KEY.pack(lba, crc & 0xFFFFFFFF, salt & _MASK64), digest_size=8
     ).digest()
@@ -199,10 +209,8 @@ def _bit_of(lba: int, crc: int, nbits: int, salt: int) -> int:
 
 def _group_digest(crcs: dict[int, int], lo: int, hi: int) -> bytes:
     """Strong digest over a group's per-block CRCs (order-sensitive)."""
-    h = hashlib.blake2b(digest_size=8)
-    for lba in range(lo, hi):
-        h.update(struct.pack("<I", crcs[lba]))
-    return h.digest()
+    packed = struct.pack(f"<{hi - lo}I", *(crcs[lba] for lba in range(lo, hi)))
+    return hashlib.blake2b(packed, digest_size=8).digest()
 
 
 def shingle_boundaries(
@@ -474,9 +482,8 @@ class ReconcileSession:
     def _crcs(
         self, device: BlockDevice, lo: int, hi: int
     ) -> dict[int, int]:
-        return {
-            lba: zlib.crc32(device.read_block(lba)) for lba in range(lo, hi)
-        }
+        crc = device.block_crc
+        return {lba: crc(lba) for lba in range(lo, hi)}
 
     def _identify(
         self, group: _Group, source: BlockDevice, dest: BlockDevice

@@ -17,7 +17,6 @@ cost models stay comparable.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 from repro.block.device import BlockDevice
@@ -72,15 +71,17 @@ def full_sync(source: BlockDevice, dest: BlockDevice) -> SyncReport:
 def digest_sync(source: BlockDevice, dest: BlockDevice) -> SyncReport:
     """Copy only blocks whose CRC32 differs (rsync-style, block granular).
 
-    Charges 4 digest bytes per block in each direction, mirroring what a
-    real digest exchange would ship.
+    Each side's CRC comes from :meth:`~repro.block.device.BlockDevice
+    .block_crc`, so a source block is read only to copy it.  Charges 4
+    digest bytes per block in each direction, mirroring what a real
+    digest exchange would ship.
     """
     _check_geometry(source, dest)
     copied_blocks = 0
     copied_bytes = 0
     for lba in range(source.num_blocks):
-        src_block = source.read_block(lba)
-        if zlib.crc32(src_block) != zlib.crc32(dest.read_block(lba)):
+        if source.block_crc(lba) != dest.block_crc(lba):
+            src_block = source.read_block(lba)
             dest.write_block(lba, src_block)
             copied_blocks += 1
             copied_bytes += len(src_block)

@@ -57,6 +57,7 @@ from repro.iscsi.transport import (
     InjectedTransportError,
     transport_pair,
 )
+from tests.test_engine_hotpath import CountingDevice
 
 BS = 512
 N = 16
@@ -1210,6 +1211,115 @@ class TestSeededReconcileCompleteness:
             outcome = engine.heal_link(victim)
             assert outcome.tiers == ("reconcile",)
             _assert_converged(stack)
+
+
+# ---------------------------------------------------------------------------
+# Heal cost: reads and hashes scale with the divergence, not the group size
+# ---------------------------------------------------------------------------
+
+HEAL_BS = 8192
+HEAL_BLOCKS = 1024
+OUTAGE_WRITES = 60
+
+
+def _heal_stack(rng):
+    """Two mirrors of a 1024 x 8 KiB volume behind an 8 KiB backlog.
+
+    Returns ``(engine, primary, replica)``; ``replica`` is the device of
+    link 1, the one the outages take down.
+    """
+    strategy = make_strategy("prins")
+    image = block(rng, HEAL_BS * HEAL_BLOCKS)
+    devices = [CountingDevice(HEAL_BS, HEAL_BLOCKS) for _ in range(3)]
+    for device in devices:
+        device.load(image)
+    primary, *replicas = devices
+    engine = PrimaryEngine(
+        primary,
+        strategy,
+        [DirectLink(ReplicaEngine(dev, strategy)) for dev in replicas],
+        resilience=ResilienceConfig(backlog_capacity_bytes=8192),
+    )
+    return engine, primary, replicas[1]
+
+
+#: the pages every outage rewrites, as a TPC-C trace keeps rewriting a
+#: hot set: 30 LBAs, one or two in each of the 16 groups
+HOT_LBAS = tuple(range(5, HEAL_BLOCKS, 35))
+
+
+def _outage(engine, rng) -> None:
+    """Fail link 1; overflow its backlog with two row updates per hot LBA."""
+    engine.fail_link(1)
+    for i in range(OUTAGE_WRITES):
+        _row_update(engine, rng, HOT_LBAS[i % len(HOT_LBAS)])
+    assert engine.guards[1].resync_required
+
+
+class _CountingZlib:
+    """Stands in for ``zlib`` inside the memory device; counts its CRCs."""
+
+    def __init__(self, real):
+        self._real = real
+        self.crcs = 0
+
+    def crc32(self, data, value=0):
+        self.crcs += 1
+        return self._real.crc32(data, value)
+
+
+class TestHealCost:
+    """A heal reads and hashes the blocks that diverged, not every block
+    of every group holding one: the memory device answers ``block_crc``
+    from a table its own writes keep exact."""
+
+    def test_heal_reads_and_hashes_scale_with_the_dirty_set(
+        self, rng, monkeypatch
+    ):
+        import zlib
+
+        import repro.block.memory as memory_mod
+
+        counting = _CountingZlib(zlib)
+        monkeypatch.setattr(memory_mod, "zlib", counting)
+        engine, primary, replica = _heal_stack(rng)
+        dirty = len(HOT_LBAS)
+        for cycle in range(4):
+            _outage(engine, rng)
+            primary.reads = replica.reads = counting.crcs = 0
+            outcome = engine.heal_link(1)
+            reads = (primary.reads, replica.reads)
+            crcs = counting.crcs
+            assert outcome.tiers == ("reconcile",)
+            assert outcome.reconcile.dirty_lbas_found == dirty
+            assert verify_consistency(primary, replica) == []
+            if cycle == 0:
+                continue  # the first heal takes every CRC it sketches
+            # sketching and verifying 16 pending groups read 2 x 64 x 16
+            # blocks of each device; now a record needs one read of each
+            # side and its apply one more of the replica
+            assert max(reads) <= 2 * dirty
+            # the primary's rewritten blocks, and the replica's once shipped
+            assert crcs <= 3 * dirty
+
+    def test_write_behind_the_guard_is_found_by_a_warm_scrub(self, rng):
+        engine, primary, replica = _heal_stack(rng)
+        _outage(engine, rng)
+        assert engine.heal_link(1).tiers == ("reconcile",)
+        for lba in range(HEAL_BLOCKS):  # warm both CRC tables
+            primary.block_crc(lba)
+            replica.block_crc(lba)
+        rotten = bytearray(replica.read_block(700))
+        rotten[100] ^= 0xFF
+        replica.write_block(700, bytes(rotten))
+        engine.guards[1].resync_required = True
+        outcome = engine.heal_link(1)
+        assert outcome.tiers == ("reconcile",)
+        assert outcome.reconcile.dirty_lbas_found == 1
+        assert verify_consistency(primary, replica) == []
+        assert all(
+            v == 0 for v in engine.verify_traffic_conservation().values()
+        )
 
 
 # ---------------------------------------------------------------------------
