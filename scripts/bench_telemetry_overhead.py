@@ -9,6 +9,8 @@ recording every sub-stage span — then gates on the live/null ratio::
 
     PYTHONPATH=src python scripts/bench_telemetry_overhead.py --max-slowdown 1.15
 
+(``--smoke`` times 500 writes per mode instead of 3000, for a quick look.)
+
 The three engines are interleaved at *single-write* granularity — every
 round issues one timed write per mode, mode order rotating — and the
 gated ratio compares **median per-write times**.  Interleaving this
@@ -43,6 +45,9 @@ from repro.obs import NULL_TELEMETRY, Telemetry  # noqa: E402
 from repro.workloads.content import mutate_fraction, random_bytes  # noqa: E402
 
 BLOCK_SIZE = 8192
+#: interleaved timed writes per mode, and untimed warm-up writes
+FULL_WRITES, FULL_WARMUP = 3000, 200
+SMOKE_WRITES, SMOKE_WARMUP = 500, 50
 
 
 class _Mode:
@@ -115,8 +120,14 @@ def run_modes(writes: int, warmup: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--writes", type=int, default=3000)
-    parser.add_argument("--warmup", type=int, default=200)
+    parser.add_argument("--writes", type=int, default=None)
+    parser.add_argument("--warmup", type=int, default=None)
+    parser.add_argument(
+        "--smoke",
+        action="store_true",
+        help=f"a quick run: {SMOKE_WRITES} interleaved writes per mode "
+        f"instead of {FULL_WRITES} (explicit --writes/--warmup still win)",
+    )
     parser.add_argument(
         "--max-slowdown",
         type=float,
@@ -128,6 +139,10 @@ def main(argv: list[str] | None = None) -> int:
         "--out", default=None, metavar="PATH", help="write results JSON"
     )
     args = parser.parse_args(argv)
+    if args.writes is None:
+        args.writes = SMOKE_WRITES if args.smoke else FULL_WRITES
+    if args.warmup is None:
+        args.warmup = SMOKE_WARMUP if args.smoke else FULL_WARMUP
 
     result = run_modes(args.writes, args.warmup)
     ratio = result["slowdown"]

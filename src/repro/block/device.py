@@ -58,7 +58,8 @@ class BlockDevice(ABC):
 
     def read_block(self, lba: int) -> bytes:
         """Return the contents of block ``lba`` (always ``block_size`` bytes)."""
-        self._check_lba(lba)
+        if self._closed or not 0 <= lba < self._num_blocks:
+            self._check_lba(lba)
         data = self._read(lba)
         assert len(data) == self._block_size
         return data
@@ -73,7 +74,8 @@ class BlockDevice(ABC):
         replica-side Eq. 2 fast path's way of loading ``A_old`` into the
         scratch block it will XOR in place.
         """
-        self._check_lba(lba)
+        if self._closed or not 0 <= lba < self._num_blocks:
+            self._check_lba(lba)
         view = out if isinstance(out, memoryview) else memoryview(out)
         if view.nbytes != self._block_size:
             raise BlockSizeError(self._block_size, view.nbytes)
@@ -87,7 +89,8 @@ class BlockDevice(ABC):
         already is ``bytes``), so devices that retain references — caches,
         sparse stores — never alias a caller-owned mutable buffer.
         """
-        self._check_lba(lba)
+        if self._closed or not 0 <= lba < self._num_blocks:
+            self._check_lba(lba)
         if len(data) != self._block_size:
             raise BlockSizeError(self._block_size, len(data))
         self._write(lba, bytes(data))
@@ -103,7 +106,8 @@ class BlockDevice(ABC):
         skipping the intermediate snapshot — the replica-side apply loop
         uses this to write its scratch block without a second 64 KB copy.
         """
-        self._check_lba(lba)
+        if self._closed or not 0 <= lba < self._num_blocks:
+            self._check_lba(lba)
         view = buf if isinstance(buf, memoryview) else memoryview(buf)
         if view.nbytes != self._block_size:
             raise BlockSizeError(self._block_size, view.nbytes)
@@ -171,6 +175,11 @@ class BlockDevice(ABC):
     # -- internals ----------------------------------------------------------
 
     def _check_lba(self, lba: int) -> None:
+        """Raise unless the device is open and ``lba`` is in range.
+
+        The block methods test the same condition inline and call this
+        only to raise, so a valid access costs no extra call.
+        """
         if self._closed:
             raise DeviceClosedError(f"{type(self).__name__} is closed")
         if not 0 <= lba < self._num_blocks:

@@ -247,7 +247,9 @@ class TrafficAccountant:
         """Book ``count`` events of ``flow`` moving ``nbytes`` for ``replica``."""
         row = self.rows.get(replica)
         if row is None:
-            row = self.rows[replica] = [0] * (2 * _COUNTS)
+            # setdefault inserts atomically: two threads posting a new
+            # replica's first flow both land in the one row it keeps
+            row = self.rows.setdefault(replica, [0] * (2 * _COUNTS))
         row[flow] += nbytes
         row[_COUNTS + flow] += count
 

@@ -15,7 +15,8 @@ Two implementations behind one interface:
 :meth:`ReplicaLink.submit`, taking a :class:`~repro.engine.work.ShipWork`
 (a single record or a multi-segment batch).  Subclasses implement
 :meth:`ReplicaLink._submit_record` (and optionally
-:meth:`ReplicaLink._submit_batch`).
+:meth:`ReplicaLink._submit_batch`), or override ``submit`` whole, as
+:class:`InitiatorLink` does to keep its round trip one call shorter.
 """
 
 from __future__ import annotations
@@ -129,16 +130,17 @@ class InitiatorLink(ReplicaLink):
         """The underlying session (exposes transport byte counters)."""
         return self._initiator
 
-    def _submit_record(self, lba: int, record: ReplicationRecord) -> bytes:
-        """Ship one record as a REPL_DATA_OUT PDU; return the ack payload."""
-        return self._initiator.send_replication_frame(
-            lba, record.pack(), ctx=self._ship_ctx
-        )
-
-    def _submit_batch(self, batch: ShipBatch) -> bytes:
-        """Ship the whole batch as one REPL_BATCH_OUT PDU."""
+    def submit(self, work: "ShipWork") -> bytes:
+        """Ship a record as one REPL_DATA_OUT PDU, a batch as one
+        REPL_BATCH_OUT PDU; return the ack payload."""
+        record = work.record
+        if record is not None:
+            return self._initiator.send_replication_frame(
+                work.lba, record.pack(), ctx=work.ctx
+            )
+        assert work.batch is not None
         return self._initiator.send_replication_batch(
-            batch.pack(), batch.record_count, ctx=self._ship_ctx
+            work.batch.pack(), work.batch.record_count, ctx=work.ctx
         )
 
     def bind_telemetry(self, telemetry) -> None:

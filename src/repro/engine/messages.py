@@ -43,10 +43,15 @@ def verify_block_crc(new_block, block_crc: int, seq: int) -> None:
     """Raise unless ``new_block`` has the CRC a record carried end to end."""
     actual = zlib.crc32(new_block)
     if actual != block_crc:
-        raise ReplicationError(
-            f"applied block CRC {actual:#010x} does not match "
-            f"record CRC {block_crc:#010x} (seq {seq})"
-        )
+        raise crc_mismatch(actual, block_crc, seq)
+
+
+def crc_mismatch(actual: int, block_crc: int, seq: int) -> ReplicationError:
+    """The error for an applied block whose CRC is not the record's."""
+    return ReplicationError(
+        f"applied block CRC {actual:#010x} does not match "
+        f"record CRC {block_crc:#010x} (seq {seq})"
+    )
 
 
 @dataclass(frozen=True)

@@ -229,6 +229,10 @@ class PrimaryEngine(BlockDevice):
         )
         self.accountant = accountant if accountant is not None else TrafficAccountant()
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
+        #: spans are opened only when telemetry is live (fine ones only
+        #: with its detail level); decided here, once
+        self._live = self.telemetry.enabled
+        self._detail = self._live and self.telemetry.tracer.detail
         self._strategy.bind_telemetry(self.telemetry)
         if self._codec_pool is not None:
             self._codec_pool.bind_telemetry(self.telemetry)
@@ -251,6 +255,9 @@ class PrimaryEngine(BlockDevice):
         # sequential with nothing to meter: nothing is ever in flight
         self._lock_step = (
             sched_config.window == 1 and self._scheduler.acks_at_send
+        )
+        self._send = (
+            self._scheduler.send if self._lock_step else self._scheduler.submit
         )
         self._router: ReadRouter | None = None
         for link in links or []:
@@ -554,63 +561,84 @@ class PrimaryEngine(BlockDevice):
         return self._device.read_block(lba)
 
     def _write(self, lba: int, data: bytes) -> None:
-        """Local write + replication: the paper's full write path."""
-        tel = self.telemetry
-        with tel.span("write", lba=lba) as span:
-            old_data: bytes | None = None
-            raid_delta: bytes | None = None
-            with tel.fine_span("write.local"):
-                if self._raid is not None:
-                    # The array's small-write path computes P' anyway (Eq. 1).
-                    raid_delta = self._raid.write_block_with_delta(lba, data)
-                else:
-                    if self._strategy.needs_old_data:
-                        old_data = self._device.read_block(lba)
-                    self._device.write_block(lba, data)
+        """Local write + replication: the paper's full write path.
+
+        With live telemetry the path runs in a ``write`` span, started
+        here and ended in the ``finally`` — no ``with``, so a span costs
+        two calls.  With telemetry off there is no span and no telemetry
+        call at all.
+        """
+        span = self.telemetry.span("write", lba=lba) if self._live else None
+        try:
+            strategy = self._strategy
+            old_data, raid_delta = self._store(lba, data, span)
+            payload = strategy.make_update(data, old_data, raid_delta=raid_delta)
+            if payload is None:
+                if span is not None:
+                    span.attrs["skipped"] = True
+                self.accountant.charge_write(len(data), None)
+                return
             if self._stripe_codec is not None:
-                payload = self._strategy.make_update(
-                    data,
-                    old_data if old_data is not None else b"",
-                    raid_delta=raid_delta,
-                )
-                if payload is None:
-                    span.set("skipped", True)
-                    self.accountant.charge_write(len(data), None)
-                    return
                 self._dispatch_striped(lba, data, payload, span)
                 return
             if self._batcher is not None:
-                payload = self._strategy.make_update(
-                    data,
-                    old_data if old_data is not None else b"",
-                    raid_delta=raid_delta,
-                )
-                if payload is None:
-                    span.set("skipped", True)
-                    self.accountant.charge_write(len(data), None)
-                    return
-                self._seq += 1
-                with tel.span("write.batch", lba=lba):
-                    window_full = self._batcher.add(
-                        lba, self._seq, zlib.crc32(data), payload, len(data)
-                    )
-                if window_full:
-                    self.flush_batch()
+                self._batch(lba, data, payload, span)
                 return
-            frame = self._strategy.encode_update(
-                data,
-                old_data if old_data is not None else b"",
-                raid_delta=raid_delta,
-            )
-            if frame is None:
-                span.set("skipped", True)
-                self.accountant.charge_write(len(data), None)
-                return
+            frame = strategy.encode_payload(payload)
             self._seq += 1
-            record = ReplicationRecord.for_block(self._seq, data, frame)
-            payload_len = record.wire_size
-            span.set("payload_bytes", payload_len)
-            self._dispatch_record(lba, record, len(data), payload_len, span.context)
+            record = ReplicationRecord(self._seq, zlib.crc32(data), frame)
+            payload_len = RECORD_OVERHEAD + len(frame)
+            ctx = None
+            if span is not None:
+                span.attrs["payload_bytes"] = payload_len
+                # the span carries trace_id and span_id, all a context
+                # is: hand it on rather than build a TraceContext
+                ctx = span
+            self._send(
+                ShipWork(lba, record, None, ctx),
+                partial(self._charge_fanout, len(data), payload_len),
+            )
+        except BaseException as exc:
+            if span is not None:
+                span.attrs["error"] = type(exc).__name__
+            raise
+        finally:
+            if span is not None:
+                span.end()
+
+    def _batch(self, lba: int, data: bytes, payload: bytes, span) -> None:
+        """Add one write's payload to the batch window; flush a full one."""
+        assert self._batcher is not None
+        self._seq += 1
+        crc = zlib.crc32(data)
+        if span is None:
+            window_full = self._batcher.add(lba, self._seq, crc, payload, len(data))
+        else:
+            with self.telemetry.span("write.batch", lba=lba):
+                window_full = self._batcher.add(
+                    lba, self._seq, crc, payload, len(data)
+                )
+        if window_full:
+            self.flush_batch()
+
+    def _store(self, lba: int, data: bytes, span) -> tuple[bytes, bytes | None]:
+        """The local write; returns ``(A_old, raid_delta)`` for the strategy.
+
+        ``A_old`` is ``b""`` when the strategy does not need it, and the
+        RAID small write hands back ``P'`` instead.  Under a live ``write``
+        span with fine detail on, this runs in a ``write.local`` span.
+        """
+        if span is not None and self._detail:
+            with self.telemetry.fine_span("write.local"):
+                return self._store(lba, data, None)
+        if self._raid is not None:
+            # The array's small-write path computes P' anyway (Eq. 1).
+            return b"", self._raid.write_block_with_delta(lba, data)
+        old_data = b""
+        if self._strategy.needs_old_data:
+            old_data = self._device.read_block(lba)
+        self._device.write_block(lba, data)
+        return old_data, None
 
     def write_many(self, writes: Sequence[tuple[int, bytes]]) -> None:
         """Write a window of ``(lba, data)`` pairs through one batched pass.
@@ -636,69 +664,80 @@ class PrimaryEngine(BlockDevice):
             for lba, data in writes:
                 self.write_block(lba, data)
             return
-        tel = self.telemetry
+        if not self._live:
+            self._write_many(writes, None)
+            return
+        with self.telemetry.span(
+            "write.many", count=len(writes), strategy=self._strategy.name
+        ) as span:
+            self._write_many(writes, span)
+
+    def _write_many(self, writes, span) -> None:
+        """:meth:`write_many`'s body; ``span`` is the live ``write.many`` span."""
         strategy = self._strategy
-        with tel.span(
-            "write.many", count=len(writes), strategy=strategy.name
-        ) as many_span:
-            datas: list[bytes] = []
-            lbas: list[int] = []
-            for lba, data in writes:
-                self._check_lba(lba)
-                if len(data) != self._block_size:
-                    raise BlockSizeError(self._block_size, len(data))
-                lbas.append(lba)
-                datas.append(data if isinstance(data, bytes) else bytes(data))
-            olds: list[bytes] = []
-            if strategy.needs_old_data:
-                with tel.span("write.local", batch=len(writes)):
-                    staged: dict[int, bytes] = {}
-                    for lba, data in zip(lbas, datas):
-                        prev = staged.get(lba)
-                        if prev is not None:
-                            olds.append(prev)
-                        else:
-                            olds.append(self._device.read_block(lba))
-                        staged[lba] = data
-                        self._device.write_block(lba, data)
-            else:
-                with tel.span("write.local", batch=len(writes)):
-                    for lba, data in zip(lbas, datas):
-                        self._device.write_block(lba, data)
-                olds = [b""] * len(datas)
-            payloads = strategy.make_updates(datas, olds)
-            ctx = many_span.context
-            if self._batcher is not None:
-                for lba, data, payload in zip(lbas, datas, payloads):
-                    if payload is None:
-                        self.accountant.charge_write(len(data), None)
-                        continue
-                    self._seq += 1
-                    if self._batcher.add(
-                        lba, self._seq, zlib.crc32(data), payload, len(data)
-                    ):
-                        self.flush_batch()
-                return
-            # Unbatched: assign sequence tickets in write order, then push
-            # the surviving payloads through one encode_payloads pass — one
-            # encode span (and, with a bound worker pool, a scatter across
-            # codec worker processes) while frames, seqs, and accounting
-            # stay identical to the per-write path.
-            pending: list[tuple[int, bytes, bytes, int]] = []
+        datas: list[bytes] = []
+        lbas: list[int] = []
+        for lba, data in writes:
+            self._check_lba(lba)
+            if len(data) != self._block_size:
+                raise BlockSizeError(self._block_size, len(data))
+            lbas.append(lba)
+            datas.append(data if isinstance(data, bytes) else bytes(data))
+        if span is None:
+            olds = self._store_many(lbas, datas)
+        else:
+            with self.telemetry.span("write.local", batch=len(writes)):
+                olds = self._store_many(lbas, datas)
+        payloads = strategy.make_updates(datas, olds)
+        ctx = None if span is None else span.context
+        if self._batcher is not None:
             for lba, data, payload in zip(lbas, datas, payloads):
                 if payload is None:
                     self.accountant.charge_write(len(data), None)
                     continue
                 self._seq += 1
-                pending.append((lba, data, payload, self._seq))
-            if not pending:
-                return
-            frames = strategy.encode_payloads([p[2] for p in pending])
-            for (lba, data, _payload, seq), frame in zip(pending, frames):
-                record = ReplicationRecord.for_block(seq, data, frame)
-                self._dispatch_record(
-                    lba, record, len(data), record.wire_size, ctx
-                )
+                if self._batcher.add(
+                    lba, self._seq, zlib.crc32(data), payload, len(data)
+                ):
+                    self.flush_batch()
+            return
+        # Unbatched: assign sequence tickets in write order, then push
+        # the surviving payloads through one encode_payloads pass — one
+        # encode span (and, with a bound worker pool, a scatter across
+        # codec worker processes) while frames, seqs, and accounting
+        # stay identical to the per-write path.
+        pending: list[tuple[int, bytes, bytes, int]] = []
+        for lba, data, payload in zip(lbas, datas, payloads):
+            if payload is None:
+                self.accountant.charge_write(len(data), None)
+                continue
+            self._seq += 1
+            pending.append((lba, data, payload, self._seq))
+        if not pending:
+            return
+        frames = strategy.encode_payloads([p[2] for p in pending])
+        for (lba, data, _payload, seq), frame in zip(pending, frames):
+            record = ReplicationRecord.for_block(seq, data, frame)
+            self._dispatch_record(lba, record, len(data), record.wire_size, ctx)
+
+    def _store_many(self, lbas: list[int], datas: list[bytes]) -> list[bytes]:
+        """Write a window locally; return each write's ``A_old``.
+
+        A second write to an LBA in the same window sees the first as
+        its old data.  Strategies that need no ``A_old`` get ``b""``.
+        """
+        if not self._strategy.needs_old_data:
+            for lba, data in zip(lbas, datas):
+                self._device.write_block(lba, data)
+            return [b""] * len(datas)
+        olds: list[bytes] = []
+        staged: dict[int, bytes] = {}
+        for lba, data in zip(lbas, datas):
+            prev = staged.get(lba)
+            olds.append(prev if prev is not None else self._device.read_block(lba))
+            staged[lba] = data
+            self._device.write_block(lba, data)
+        return olds
 
     def _dispatch_record(
         self,
@@ -728,10 +767,7 @@ class PrimaryEngine(BlockDevice):
         fan-out out of the ``engine.scheduler`` layer of ``bench/``, whose
         tracer wraps ``submit`` and ``drain``.
         """
-        if self._lock_step:
-            self._scheduler.send(work, charge, only)
-        else:
-            self._scheduler.submit(work, charge, only)
+        self._send(work, charge, only)
 
     def _dispatch_striped(self, lba: int, data: bytes, payload, span) -> None:
         """Split one write's payload into fragments and fan each out.
@@ -756,7 +792,10 @@ class PrimaryEngine(BlockDevice):
                 f"{codec.n} links, have {len(self._links)}"
             )
         is_delta = self._strategy.needs_old_data
-        with self.telemetry.fine_span("write.stripe"):
+        if span is not None and self._detail:
+            with self.telemetry.fine_span("write.stripe"):
+                fragments = codec.encode(payload)
+        else:
             fragments = codec.encode(payload)
         to_ship: list[tuple[int, bytes]] = []
         elided = 0
@@ -766,18 +805,21 @@ class PrimaryEngine(BlockDevice):
                 continue
             to_ship.append((j, frag_payload))
         if not to_ship:
-            span.set("skipped", True)
+            if span is not None:
+                span.set("skipped", True)
             self.accountant.charge_write(
                 len(data), None, elided=elided, striped=True
             )
             return
         self._seq += 1
         seq = self._seq  # one sequence number per stripe group
-        span.set("fragments", len(to_ship))
+        ctx = None
+        if span is not None:
+            span.set("fragments", len(to_ship))
+            ctx = span.context
         agg = _StripeCharge(
             self.accountant, len(data), expected=len(to_ship), elided=elided
         )
-        ctx = span.context
         try:
             for j, frag_payload in to_ship:
                 frame = self._strategy.encode_payload(frag_payload)
@@ -815,37 +857,47 @@ class PrimaryEngine(BlockDevice):
         """
         if self._batcher is None or len(self._batcher) == 0:
             return None
-        tel = self.telemetry
-        with tel.span("batch.flush", strategy=self._strategy.name) as span:
-            result = self._batcher.drain()
-            records = result.batch.record_count if result.batch else 0
+        if not self._live:
+            return self._flush_batch(None)
+        with self.telemetry.span(
+            "batch.flush", strategy=self._strategy.name
+        ) as span:
+            return self._flush_batch(span)
+
+    def _flush_batch(self, span) -> FlushResult:
+        """Drain and ship the window; ``span`` is the live ``batch.flush`` span."""
+        assert self._batcher is not None
+        result = self._batcher.drain()
+        records = result.batch.record_count if result.batch else 0
+        if span is not None:
+            tel = self.telemetry
             span.set("records", records)
             span.set("merged_writes", result.merged_writes)
-            if tel.enabled:
-                tel.counter("batch.flushes").inc()
-                tel.counter("batch.records").inc(records)
-                tel.counter("batch.merged_writes").inc(result.merged_writes)
-                tel.histogram("batch.records_per_flush").record(records)
-                tel.histogram("batch.merged_per_flush").record(
-                    result.merged_writes
-                )
-            if result.batch is None:
-                # every record merged to a no-op: nothing on the wire
-                self.accountant.charge_write(
-                    result.data_bytes,
-                    None,
-                    writes=result.logical_writes,
-                    records=0,
-                    merged=result.merged_writes,
-                    elided=result.elided_records,
-                )
-                return result
-            payload_len = len(result.batch.pack())
-            span.set("payload_bytes", payload_len)
-            self._ship(
-                ShipWork.for_batch(result.batch, ctx=tel.current_context()),
-                partial(self._charge_batch, result, payload_len),
+            tel.counter("batch.flushes").inc()
+            tel.counter("batch.records").inc(records)
+            tel.counter("batch.merged_writes").inc(result.merged_writes)
+            tel.histogram("batch.records_per_flush").record(records)
+            tel.histogram("batch.merged_per_flush").record(result.merged_writes)
+        if result.batch is None:
+            # every record merged to a no-op: nothing on the wire
+            self.accountant.charge_write(
+                result.data_bytes,
+                None,
+                writes=result.logical_writes,
+                records=0,
+                merged=result.merged_writes,
+                elided=result.elided_records,
             )
+            return result
+        payload_len = len(result.batch.pack())
+        ctx = None
+        if span is not None:
+            span.set("payload_bytes", payload_len)
+            ctx = self.telemetry.current_context()
+        self._ship(
+            ShipWork.for_batch(result.batch, ctx=ctx),
+            partial(self._charge_batch, result, payload_len),
+        )
         return result
 
     def _charge_batch(

@@ -44,6 +44,7 @@ records must reach the replica in primary order.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -640,6 +641,10 @@ class GuardedLink:
     ) -> None:
         tel = telemetry if telemetry is not None else NULL_TELEMETRY
         self._tel = tel
+        #: orders this guard's updates of state its engine's other guards
+        #: share (the ``resilience.*`` counters); a fan-out scheduler that
+        #: runs guards on worker threads puts its resolve lock here
+        self.shared_lock: threading.Lock | threading.RLock = threading.Lock()
         # shared across links on purpose: these are engine-wide aggregates
         self._delivered_counter = tel.counter("resilience.ships_delivered")
         self._journaled_counter = tel.counter("resilience.ships_journaled")
@@ -752,15 +757,18 @@ class GuardedLink:
             # Backlog-free DOWN mode: the backlog already overflowed, so
             # a resync tier must cover this write anyway — count it and
             # remember its LBA, but don't buffer or touch the wire.
-            self._suppressed_counter.inc()
+            with self.shared_lock:
+                self._suppressed_counter.inc()
             self._journal_work(work)
             return False
         if self.forced_down or not self.breaker.should_attempt():
-            self._suppressed_counter.inc()
+            with self.shared_lock:
+                self._suppressed_counter.inc()
             self._journal_work(work)
             return False
         if self.breaker.half_open:
-            self._probe_counter.inc()
+            with self.shared_lock:
+                self._probe_counter.inc()
         if self.backlog.overflowed:
             # Only an explicit heal() (resync tier) can recover; keep
             # journaling so post-overflow writes are at least countable.
@@ -788,7 +796,8 @@ class GuardedLink:
         if verify_acks:
             work.verify_ack(ack)
         self.breaker.record_success()
-        self._delivered_counter.inc()
+        with self.shared_lock:
+            self._delivered_counter.inc()
         return True
 
     def _journal_work(self, work: ShipWork) -> None:
@@ -804,7 +813,8 @@ class GuardedLink:
             # Backlog-free DOWN mode: count the deferred copy and close
             # its ledger immediately (journaled == dropped) — the resync
             # tier will re-derive the block from the devices.
-            self._journaled_counter.inc()
+            with self.shared_lock:
+                self._journaled_counter.inc()
             self.accountant.post(self.index, Flow.JOURNAL, record.wire_size)
             self.accountant.post(self.index, Flow.DROP, record.wire_size)
             if self._session is not None:
@@ -816,7 +826,8 @@ class GuardedLink:
         self._tel.event(
             "journal.append", link=self.index, lba=lba, seq=record.seq
         )
-        self._journaled_counter.inc()
+        with self.shared_lock:
+            self._journaled_counter.inc()
         self.accountant.post(self.index, Flow.JOURNAL, record.wire_size)
         dropped = self.backlog.payload_bytes_dropped_total - dropped_before
         if dropped:
@@ -839,7 +850,8 @@ class GuardedLink:
         if self.resync_required:
             return
         self.resync_required = True
-        self._overflow_counter.inc()
+        with self.shared_lock:
+            self._overflow_counter.inc()
         self._tel.event(
             "backlog.overflow",
             link=self.index,

@@ -88,7 +88,6 @@ from repro.engine.accounting import Flow, TrafficAccountant
 from repro.engine.links import ReplicaLink
 from repro.engine.work import ShipWork
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.obs.tracing import NULL_SPAN
 from repro.sim.core import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -461,54 +460,55 @@ class ReplicaChannel:
 
     # -- the send ------------------------------------------------------------
 
-    def send(self, work: ShipWork, locked: bool = False):
+    def send(self, work: ShipWork):
         """One round trip: :data:`DELIVERED`, :data:`JOURNALED`, or the failure.
 
         A guarded channel journals what it cannot deliver; a raw link's
         failure (ack verification included) is *returned*, not raised, so
-        the caller decides when it surfaces.  ``locked`` (thread mode)
-        serializes the accounting-mutating guard submit on the
-        scheduler's resolve lock; raw-link I/O always runs unlocked so
-        thread-mode channels overlap on the wire.
+        the caller decides when it surfaces.  No lock is held across the
+        round trip, so thread-mode channels overlap on the wire, guarded
+        ones included: a guard takes the resolve lock only around the
+        counters it shares with the other guards (:meth:`add_channel
+        <FanoutScheduler.add_channel>`).
 
         With live telemetry the round trip is a ``write.send`` span joined
         to the submission's causal context, so cross-channel fan-out
-        shows up as sibling sends under the originating write.
+        shows up as sibling sends under the originating write; it is
+        started here and ended in the ``finally`` (no ``with``).
         """
-        self.stats.sends += 1
         sched = self._sched
-        if not sched.live:
-            return self._round_trip(work, NULL_SPAN, locked)
-        span = sched.telemetry.span_in("write.send", work.ctx, link=self.index)
-        if work.is_batch:
-            span.set("batched", True)
-        with span:
-            return self._round_trip(work, span, locked)
-
-    def _round_trip(self, work: ShipWork, span, locked: bool):
-        sched = self._sched
-        guard = self.guard
-        if guard is not None:
-            if locked:
-                with sched.resolve_lock:
-                    ok = guard.submit(work, sched.verify_acks)
-            else:
-                ok = guard.submit(work, sched.verify_acks)
-            if ok:
-                return DELIVERED
-            self.stats.journaled += 1
-            span.set("journaled", True)
-            return JOURNALED
-        assert self.link is not None
+        span = None
+        if sched.live:
+            span = sched.telemetry.span_in("write.send", work.ctx, link=self.index)
+            if work.batch is not None:
+                span.attrs["batched"] = True
         try:
-            ack = self.link.submit(work)
-            if sched.verify_acks:
-                work.verify_ack(ack)
-        except Exception as exc:  # noqa: BLE001 — the caller surfaces it
-            self.stats.failures += 1
-            span.set("failed", type(exc).__name__)
-            return exc
-        return DELIVERED
+            self.stats.sends += 1
+            guard = self.guard
+            if guard is not None:
+                if guard.submit(work, sched.verify_acks):
+                    return DELIVERED
+                self.stats.journaled += 1
+                if span is not None:
+                    span.attrs["journaled"] = True
+                return JOURNALED
+            try:
+                ack = self.link.submit(work)
+                if sched.verify_acks:
+                    work.verify_ack(ack)
+            except Exception as exc:  # noqa: BLE001 — the caller surfaces it
+                self.stats.failures += 1
+                if span is not None:
+                    span.attrs["failed"] = type(exc).__name__
+                return exc
+            return DELIVERED
+        except BaseException as exc:
+            if span is not None:
+                span.attrs["error"] = type(exc).__name__
+            raise
+        finally:
+            if span is not None:
+                span.end()
 
     # -- sim mode (metered latency) -------------------------------------------
 
@@ -623,7 +623,7 @@ class ReplicaChannel:
             if item is _STOP:
                 return
             state: _WorkState = item
-            outcome = self.send(state.work, locked=True)
+            outcome = self.send(state.work)
             ticket = self._next_ticket
             self._next_ticket += 1
             # One worker per channel: acks complete in FIFO order, so the
@@ -689,7 +689,9 @@ class FanoutScheduler:
 
         Raises :class:`~repro.common.errors.ConfigurationError` once any
         submission has been made: a channel that joins later would miss
-        the records already shipped.
+        the records already shipped.  In thread mode a guard's shared
+        counters are bumped under the resolve lock, since guards then
+        submit on their channels' worker threads at once.
         """
         if self._submitted:
             raise ConfigurationError(
@@ -698,6 +700,8 @@ class FanoutScheduler:
         channel = ReplicaChannel(
             len(self.channels), self, link=link, guard=guard
         )
+        if guard is not None and self._threaded:
+            guard.shared_lock = self.resolve_lock
         self.channels.append(channel)
         return channel
 
@@ -759,36 +763,41 @@ class FanoutScheduler:
             self.send(work, charge, only)
             return
         targets = self._targets(only)
-        span = NULL_SPAN
-        if self.live:
-            span = self.telemetry.span(
-                "sched.submit", seq=work.last_seq, batched=work.is_batch
-            )
-            self._submit_counter.inc()
-        with span:
-            state = _WorkState(work, charge, len(targets))
-            if not targets:
-                self._finalize(state)
-                return
-            if self._threaded:
-                with self.resolve_lock:
-                    self._outstanding += 1
-                    # Dirty-mark before the work can reach any wire: a
-                    # routed read that observes the mark is serialized
-                    # before the write; one that doesn't, after its ack.
-                    for channel in targets:
-                        channel.mark_dirty(state.lbas)
-                self._ensure_workers()
-                for channel in targets:
-                    channel.enqueue_threaded(state)
-                return
-            # Inline: one thread runs every send, so one acquisition
-            # covers the whole fan-out (a reader on another thread sees
-            # the submission entirely before or entirely after it).
+        if not self.live:
+            self._enqueue(_WorkState(work, charge, len(targets)), targets)
+            return
+        self._submit_counter.inc()
+        with self.telemetry.span(
+            "sched.submit", seq=work.last_seq, batched=work.is_batch
+        ):
+            self._enqueue(_WorkState(work, charge, len(targets)), targets)
+
+    def _enqueue(
+        self, state: _WorkState, targets: Sequence[ReplicaChannel]
+    ) -> None:
+        """Queue one submission on each of its channels."""
+        if not targets:
+            self._finalize(state)
+            return
+        if self._threaded:
             with self.resolve_lock:
                 self._outstanding += 1
+                # Dirty-mark before the work can reach any wire: a
+                # routed read that observes the mark is serialized
+                # before the write; one that doesn't, after its ack.
                 for channel in targets:
-                    channel.enqueue_sim(state)
+                    channel.mark_dirty(state.lbas)
+            self._ensure_workers()
+            for channel in targets:
+                channel.enqueue_threaded(state)
+            return
+        # Inline: one thread runs every send, so one acquisition
+        # covers the whole fan-out (a reader on another thread sees
+        # the submission entirely before or entirely after it).
+        with self.resolve_lock:
+            self._outstanding += 1
+            for channel in targets:
+                channel.enqueue_sim(state)
 
     def send(
         self,
@@ -812,12 +821,17 @@ class FanoutScheduler:
                 "send() needs acks that resolve at send (inline workers, "
                 "no latency); use submit()"
             )
-        targets = self._targets(only)
+        if only is None and not self._closed:
+            targets: Sequence[ReplicaChannel] = self.channels  # the fan-out
+            self._submitted += 1
+        else:
+            targets = self._targets(only)
         succeeded: list[int] = []
         journaled = 0
         failure: BaseException | None = None
         failed_index = -1
         accountant = self.accountant
+        wire_size = work.wire_size
         with self.resolve_lock:
             for channel in targets:
                 outcome = channel.send(work)
@@ -827,7 +841,7 @@ class FanoutScheduler:
                     channel.stats.acks += 1
                     succeeded.append(channel.index)
                     if accountant is not None:
-                        accountant.post(channel.index, Flow.SHIP, work.wire_size)
+                        accountant.post(channel.index, Flow.SHIP, wire_size)
                 elif outcome is JOURNALED:
                     journaled += 1
                 elif failure is None:

@@ -37,8 +37,14 @@ class ReplicationStrategy(ABC):
     name: str = "abstract"
     #: True if ``apply_update`` needs the replica's old block contents
     needs_old_data: bool = False
+    #: the codec every frame is encoded with; each strategy sets it
+    _codec: Codec
     #: telemetry handle (null by default); set via :meth:`bind_telemetry`
     telemetry = NULL_TELEMETRY
+    #: whether the encode paths open spans, and ``write.delta`` fine
+    #: spans; decided once per :meth:`bind_telemetry`
+    _live = False
+    _fine = False
     #: optional :class:`~repro.engine.workers.CodecWorkerPool`; when bound,
     #: windowed encodes scatter across worker processes instead of running
     #: on the caller's thread.  Set via :meth:`bind_codec_pool`.
@@ -70,6 +76,8 @@ class ReplicationStrategy(ABC):
         per-stage timing (:class:`~repro.parity.pipeline.PipelineCodec`).
         """
         self.telemetry = telemetry
+        self._live = telemetry.enabled
+        self._fine = self._live and telemetry.tracer.detail
         codec = getattr(self, "_codec", None)
         bind = getattr(codec, "bind_telemetry", None)
         if bind is not None:
@@ -109,17 +117,37 @@ class ReplicationStrategy(ABC):
             for new, old in zip(new_datas, old_datas)
         ]
 
-    @abstractmethod
     def encode_payload(self, payload: bytes) -> bytes:
-        """Encode a :meth:`make_update` payload into a self-describing frame."""
+        """Encode a :meth:`make_update` payload into a self-describing frame.
+
+        The strategy's codec encodes it; a payload the codec does not
+        shrink ships as a raw frame (:func:`~repro.parity.frame.encode_frame`).
+        With live telemetry this runs in a ``write.encode`` span, started
+        and ended here without a ``with``.
+        """
+        if not self._live:
+            return encode_frame(self._codec, payload)
+        span = self.telemetry.span("write.encode")
+        try:
+            frame = encode_frame(self._codec, payload)
+        except BaseException as exc:
+            span.end(type(exc))
+            raise
+        span.end()
+        return frame
 
     def encode_payloads(self, payloads: Sequence[bytes]) -> list[bytes]:
-        """Batch form of :meth:`encode_payload`; default maps it.
+        """Batch form of :meth:`encode_payload`: frame a whole window.
 
-        Codec-backed strategies override to frame the whole window under a
-        single ``write.encode`` span (through the worker pool when bound).
+        One codec pass (through the worker pool when bound), in one
+        ``write.encode`` span when telemetry is live.
         """
-        return [self.encode_payload(p) for p in payloads]
+        if not self._live:
+            return self._encode_window(payloads)
+        with self.telemetry.span(
+            "write.encode", codec=self._codec.name, batch=len(payloads)
+        ):
+            return self._encode_window(payloads)
 
     def encode_update(
         self,
@@ -202,18 +230,6 @@ class FullBlockStrategy(ReplicationStrategy):
         del old_data, raid_delta
         return new_data if isinstance(new_data, bytes) else bytes(new_data)
 
-    def encode_payload(self, payload: bytes) -> bytes:
-        """Wrap the block in a raw (identity-codec) frame."""
-        with self.telemetry.span("write.encode"):
-            return encode_frame(self._codec, payload)
-
-    def encode_payloads(self, payloads: Sequence[bytes]) -> list[bytes]:
-        """Frame the whole window under one span (identity codec)."""
-        with self.telemetry.span(
-            "write.encode", codec=self._codec.name, batch=len(payloads)
-        ):
-            return self._encode_window(payloads)
-
     def apply_update(self, frame: bytes, old_data: bytes | None) -> bytes:
         """Unwrap the shipped block; ``old_data`` is not needed."""
         return decode_frame(frame)
@@ -243,18 +259,6 @@ class CompressedBlockStrategy(ReplicationStrategy):
         """The update payload is the new block (compression happens at encode)."""
         del old_data, raid_delta
         return new_data if isinstance(new_data, bytes) else bytes(new_data)
-
-    def encode_payload(self, payload: bytes) -> bytes:
-        """Compress the block and wrap it in a self-describing frame."""
-        with self.telemetry.span("write.encode"):
-            return encode_frame(self._codec, payload)
-
-    def encode_payloads(self, payloads: Sequence[bytes]) -> list[bytes]:
-        """Compress and frame the whole window under one span."""
-        with self.telemetry.span(
-            "write.encode", codec=self._codec.name, batch=len(payloads)
-        ):
-            return self._encode_window(payloads)
 
     def apply_update(self, frame: bytes, old_data: bytes | None) -> bytes:
         """Decompress the shipped block; ``old_data`` is not needed."""
@@ -307,6 +311,8 @@ class PrinsStrategy(ReplicationStrategy):
         """
         if raid_delta is not None:
             delta = raid_delta  # P' came free from the RAID small write
+        elif not self._fine:
+            delta = forward_parity(new_data, old_data)
         else:
             with self.telemetry.fine_span("write.delta"):
                 delta = forward_parity(new_data, old_data)
@@ -326,26 +332,14 @@ class PrinsStrategy(ReplicationStrategy):
         all-zero (skip) test folded into the same kernel so the hot delta
         is scanned while it is still a live numpy array.
         """
+        if not self._live:
+            return xor_blocks_pairwise(
+                new_datas, old_datas, skip_zero=self._skip_unchanged
+            )
         with self.telemetry.span("write.delta", batch=len(new_datas)):
             return xor_blocks_pairwise(
                 new_datas, old_datas, skip_zero=self._skip_unchanged
             )
-
-    def encode_payload(self, payload: bytes) -> bytes:
-        """Encode a parity delta with the sparse-aware codec into a frame.
-
-        A dense delta ships as a raw frame (see
-        :func:`~repro.parity.frame.encode_frame`).
-        """
-        with self.telemetry.span("write.encode"):
-            return encode_frame(self._codec, payload)
-
-    def encode_payloads(self, payloads: Sequence[bytes]) -> list[bytes]:
-        """Encode the window's deltas into frames under one span."""
-        with self.telemetry.span(
-            "write.encode", codec=self._codec.name, batch=len(payloads)
-        ):
-            return self._encode_window(payloads)
 
     def merge_updates(self, payloads: Sequence[bytes]) -> bytes:
         """XOR-compose same-LBA parity deltas into one (Eqs. 1–2 compose).

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from repro.common.errors import ReplicationError
 from repro.engine.batch import ShipBatch, unpack_batch_ack
-from repro.engine.messages import ReplicationRecord
+from repro.engine.messages import RECORD_OVERHEAD, ReplicationRecord
 from repro.engine.replica import ReplicaEngine
 from repro.obs.dist import TraceContext
 
@@ -35,10 +35,11 @@ class ShipWork:
     (informational — batch segments carry their own LBAs on the wire).
 
     ``ctx`` is the optional causal trace context of the originating write
-    span (:mod:`repro.obs.dist`): it rides with the work through the
-    scheduler's worker threads and onto the iSCSI BHS, and is excluded
-    from equality/repr — two submissions shipping the same bytes are the
-    same work whether or not tracing happened to be on.
+    span (:mod:`repro.obs.dist`) — a ``TraceContext`` or the live span
+    itself, anything with ``trace_id`` and ``span_id``: it rides with the
+    work through the scheduler's worker threads and onto the iSCSI BHS,
+    and is excluded from equality/repr — two submissions shipping the
+    same bytes are the same work whether or not tracing happened to be on.
 
     ``fragment`` tags erasure-tier submissions with their stripe position
     (``0..n-1``) so journal replay, tracing, and tests can tell which
@@ -106,8 +107,7 @@ class ShipWork:
         """Payload bytes this submission puts on the wire (sans PDU header)."""
         if self.batch is not None:
             return len(self.batch.pack())
-        assert self.record is not None
-        return self.record.wire_size
+        return RECORD_OVERHEAD + len(self.record.frame)
 
     def pack(self) -> bytes:
         """Serialize the payload (record or batch) to wire bytes."""

@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.common.errors import ProtocolError
 
@@ -174,13 +175,13 @@ class FrameBuffer:
     """Receive-side reassembly: stream bytes in, whole PDUs out.
 
     The one framing implementation, used by the TCP transport on both
-    ends of a session.  A socket reader fills :meth:`writable` with
-    ``recv_into`` and reports the count to :meth:`wrote`.
-    :meth:`next_pdu` then returns each complete PDU, however the bytes
-    were segmented:
+    ends of a session.  :meth:`read` takes the socket's ``recv_into`` and
+    returns the next complete PDU, however the bytes were segmented:
     several PDUs coalesced in one segment come out one per call, and a
     PDU split over many segments stays buffered — across a receive
-    timeout too — until its last byte arrives.
+    timeout too — until its last byte arrives.  Underneath, a reader
+    fills :meth:`writable`, reports the count to :meth:`wrote` and takes
+    PDUs from :meth:`next_pdu`.
     """
 
     __slots__ = ("_buf", "_view", "_start", "_end")
@@ -190,6 +191,37 @@ class FrameBuffer:
         self._view = memoryview(self._buf)
         self._start = 0  # first byte not yet handed out as a PDU
         self._end = 0  # one past the last byte received
+
+    def read(self, recv_into: "Callable[[Any], int]") -> Pdu | None:
+        """The next complete PDU, received with ``recv_into`` as needed.
+
+        Returns ``None`` when ``recv_into`` reports end of stream first.
+        The common case — an empty buffer and a PDU that arrives whole in
+        one segment — is one ``recv_into`` into the buffer and one parse;
+        anything else takes the general loop.  Exceptions from
+        ``recv_into`` (a timeout) leave the buffered bytes in place.
+        """
+        if not self._end:
+            count = recv_into(self._buf)
+            if not count:
+                return None
+            self._end = count
+            parsed = Pdu.parse(self._view, 0, count)
+            if parsed is not None:
+                pdu, stop = parsed
+                if stop == count:
+                    self._end = 0
+                else:
+                    self._start = stop  # more PDUs came in the same segment
+                return pdu
+        pdu = self.next_pdu()
+        while pdu is None:
+            count = recv_into(self.writable())
+            if not count:
+                return None
+            self.wrote(count)
+            pdu = self.next_pdu()
+        return pdu
 
     def next_pdu(self) -> Pdu | None:
         """Remove and return the next complete PDU, or ``None`` if partial."""

@@ -13,8 +13,10 @@ numbers in the figure benchmarks come straight from these counters.
 
 from __future__ import annotations
 
+import os
 import queue
 import socket
+import struct
 from abc import ABC, abstractmethod
 
 from repro.common.errors import ProtocolError
@@ -270,14 +272,37 @@ def transport_pair() -> tuple[InProcessTransport, InProcessTransport]:
     )
 
 
+#: ``struct timeval`` for ``SO_RCVTIMEO`` / ``SO_SNDTIMEO`` (POSIX)
+_TIMEVAL = struct.Struct("@ll")
+#: whether socket timeouts can be kernel options instead of ``poll()``
+_SOCKOPT_TIMEOUTS = os.name == "posix" and hasattr(socket, "SO_RCVTIMEO")
+
+
+def _receive_failure(exc: OSError) -> ProtocolError | TimeoutError:
+    """What a failed ``recv_into`` raises: an expired timeout stays one.
+
+    ``BlockingIOError`` (``EAGAIN``) is how ``SO_RCVTIMEO`` expires on a
+    blocking socket; ``TimeoutError`` is a ``settimeout`` expiring.
+    """
+    if isinstance(exc, (TimeoutError, BlockingIOError)):
+        return TimeoutError("no PDU within timeout")
+    return TransportClosedError(f"receive failed: {exc}")
+
+
 class TcpTransport(Transport):
     """PDU pipe over a connected TCP socket.
 
     Receives go through one :class:`~repro.iscsi.pdu.FrameBuffer` filled
     by ``recv_into``: a PDU that arrives in one segment costs one
-    syscall, and coalesced or split segments parse the same way.  The
-    socket's timeout is changed only when a receive asks for a different
-    one, so a session with a fixed timeout never touches it again.
+    syscall, and coalesced or split segments parse the same way.
+    Unbound from telemetry, :meth:`send` and :meth:`receive` are one call
+    each around ``sendall`` / the frame buffer.
+
+    The socket stays blocking.  A receive timeout is set as the kernel's
+    ``SO_RCVTIMEO`` and ``SO_SNDTIMEO`` (so CPython does not ``poll()``
+    before every call, as a Python-level socket timeout makes it), only
+    when a receive asks for a different one than the last; where the
+    options are unavailable, ``settimeout`` applies it instead.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -295,6 +320,40 @@ class TcpTransport(Transport):
         sock.settimeout(None)
         return cls(sock)
 
+    def send(self, pdu: Pdu) -> None:
+        """Send one PDU with one ``sendall`` (the instrumented base path
+        when telemetry is bound)."""
+        if self._telemetry is not None:
+            Transport.send(self, pdu)
+            return
+        if self._closed:
+            raise TransportClosedError("transport is closed")
+        raw = pdu.pack()
+        try:
+            self._sock.sendall(raw)
+        except OSError as exc:
+            raise TransportClosedError(f"send failed: {exc}") from exc
+        self.bytes_sent += len(raw)
+        self.pdus_sent += 1
+
+    def receive(self, timeout: float | None = None) -> Pdu:
+        """Block until the next PDU arrives; one frame-buffer read.
+
+        A new timeout, a closed transport and bound telemetry take the
+        base path through :meth:`_receive_pdu`.
+        """
+        if self._telemetry is not None or self._closed or timeout != self._timeout:
+            return Transport.receive(self, timeout)
+        try:
+            pdu = self._frames.read(self._sock.recv_into)
+        except OSError as exc:
+            raise _receive_failure(exc) from exc
+        if pdu is None:
+            raise TransportClosedError("peer closed the connection")
+        self.bytes_received += BHS_SIZE + len(pdu.data)
+        self.pdus_received += 1
+        return pdu
+
     def _send_raw(self, raw: bytes) -> None:
         if self._closed:
             raise TransportClosedError("transport is closed")
@@ -306,24 +365,45 @@ class TcpTransport(Transport):
     def _receive_pdu(self, timeout: float | None) -> Pdu:
         if self._closed:
             raise TransportClosedError("transport is closed")
-        frames = self._frames
+        if timeout != self._timeout:
+            self._set_timeout(timeout)
         try:
-            pdu = frames.next_pdu()
-            if pdu is None and timeout != self._timeout:
-                self._sock.settimeout(timeout)
-                self._timeout = timeout
-            while pdu is None:
-                count = self._sock.recv_into(frames.writable())
-                if not count:
-                    raise TransportClosedError("peer closed the connection")
-                frames.wrote(count)
-                pdu = frames.next_pdu()
-        except TimeoutError:
             # whatever part of a PDU arrived stays in the frame buffer
-            raise TimeoutError("no PDU within timeout") from None
+            pdu = self._frames.read(self._sock.recv_into)
         except OSError as exc:
-            raise TransportClosedError(f"receive failed: {exc}") from exc
+            raise _receive_failure(exc) from exc
+        if pdu is None:
+            raise TransportClosedError("peer closed the connection")
         return pdu
+
+    def _set_timeout(self, timeout: float | None) -> None:
+        """Bound later receives (and sends) by ``timeout`` seconds.
+
+        A positive timeout becomes ``SO_RCVTIMEO`` / ``SO_SNDTIMEO`` on
+        the blocking socket; ``None`` clears them; zero or a negative
+        value (a poll, or the error ``settimeout`` raises for it) and a
+        platform without the options go to ``settimeout``.
+        """
+        sock = self._sock
+        if _SOCKOPT_TIMEOUTS:
+            seconds = 0.0 if timeout is None or timeout <= 0 else timeout
+            whole = int(seconds)
+            micros = int((seconds - whole) * 1e6)
+            if seconds and not whole and not micros:
+                micros = 1  # an all-zero timeval means "no timeout"
+            try:
+                timeval = _TIMEVAL.pack(whole, micros)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+            except (OSError, struct.error):
+                pass
+            else:
+                if seconds:
+                    sock.settimeout(None)  # the kernel enforces it now
+                    self._timeout = timeout
+                    return
+        sock.settimeout(timeout)
+        self._timeout = timeout
 
     def close(self) -> None:
         if not self._closed:

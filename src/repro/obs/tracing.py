@@ -44,9 +44,11 @@ with ``detail=True``.  Like a DEBUG log level, fine detail is an opt-in
 trade: prettier trees for roughly double the per-write tracing cost.
 
 :data:`NULL_SPAN` / :class:`NullTracer` are the disabled twins: a single
-shared span object whose enter/exit do nothing, so instrumentation left
-in the hot path costs one method call and no allocation when tracing is
-off.
+shared span object whose enter/exit do nothing.  The replication hot
+paths (engine write, fan-out send, replica apply, encode) do not rely on
+them: each decides once, when its telemetry is bound, whether spans are
+live, and with tracing off it opens no span and makes no telemetry call
+at all.
 """
 
 from __future__ import annotations
@@ -63,13 +65,15 @@ __all__ = ["Span", "Tracer", "NULL_SPAN", "NullSpan", "NullTracer"]
 
 
 class Span:
-    """One timed stage; use as a context manager via :meth:`Tracer.span`.
+    """One timed stage, started by :meth:`Tracer.span` and ended by :meth:`end`.
 
-    The enter/exit bodies are deliberately inlined here (rather than
-    delegating to tracer methods) — a PRINS write opens seven spans, so
-    every saved call frame is visible on the hot path.  Ids, trace
-    linkage, and timestamps are only assigned inside the ``with`` block;
-    a span that was never entered has no ``span_id``/``start_ns``.
+    The tracer's factory starts the span — ids, trace linkage, the push
+    onto this thread's stack and the start time — so ``with`` only adds
+    a trivial ``__enter__``, and a hot path can skip ``with`` altogether:
+    ``span = tracer.span(...)`` … ``span.end()`` in a ``finally`` is two
+    calls per span.  A live PRINS write opens four spans (``write``,
+    ``write.encode``, ``write.send``, ``replica.apply``), seven with fine
+    detail, so every saved call frame is visible on the hot path.
     """
 
     __slots__ = (
@@ -81,21 +85,8 @@ class Span:
         "start_ns",
         "duration_ns",
         "_tracer",
-        "_ctx",
         "_stack",
     )
-
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        ctx: TraceContext | None = None,
-        **attrs,
-    ) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.attrs = attrs
-        self._ctx = ctx
 
     @property
     def context(self) -> TraceContext:
@@ -109,30 +100,14 @@ class Span:
         self.attrs[key] = value
 
     def __enter__(self) -> "Span":
-        tracer = self._tracer
-        self.span_id = sid = next(tracer._ids)
-        try:
-            stack = tracer._local.stack
-        except AttributeError:
-            stack = tracer._local.stack = []
-        self._stack = stack
-        if stack:
-            top = stack[-1]
-            self.parent_id = top.span_id
-            self.trace_id = top.trace_id
-        else:
-            ctx = self._ctx
-            if ctx is not None:
-                self.parent_id = ctx.span_id
-                self.trace_id = ctx.trace_id
-            else:
-                self.parent_id = None
-                self.trace_id = sid
-        stack.append(self)
-        self.start_ns = perf_counter_ns()
-        return self
+        return self  # started by the factory
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
+    def end(self, exc_type=None, exc=None, tb=None) -> bool:
+        """Stop the clock, pop the span and keep it in the tracer's ring.
+
+        ``exc_type`` (the ``with`` protocol's first argument) marks the
+        span with an ``error`` attribute; ``__exit__`` is this method.
+        """
         self.duration_ns = perf_counter_ns() - self.start_ns
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
@@ -148,6 +123,8 @@ class Span:
         if len(finished) > tracer._high_water:
             tracer._evict()
         return False
+
+    __exit__ = end
 
     def to_dict(self) -> dict:
         """JSON-safe record of the finished span."""
@@ -238,23 +215,41 @@ class Tracer:
     # -- span lifecycle ------------------------------------------------------
 
     def _open(self, name: str, ctx: TraceContext | None = None, **attrs) -> Span:
-        """``Span(self, name, ctx, **attrs)``, built field by field.
+        """Build and start one span, field by field, in one call.
 
-        Calling the class goes through ``type.__call__``, which packs the
-        arguments into a fresh tuple and dict for ``__init__``; one plain
-        call plus ``object.__new__`` skips that, and it is a visible
+        The span nests under this thread's innermost open span, or joins
+        ``ctx`` when none is open, or starts a trace of its own.
+        Building it here rather than through ``type.__call__`` and an
+        ``__init__`` saves the argument packing and a frame, a visible
         share of a live span's cost (four per PRINS write).
         """
         span = object.__new__(Span)
         span._tracer = self
         span.name = name
         span.attrs = attrs
-        span._ctx = ctx
+        span.span_id = sid = next(self._ids)
+        try:
+            stack = self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+        span._stack = stack
+        if stack:
+            top = stack[-1]
+            span.parent_id = top.span_id
+            span.trace_id = top.trace_id
+        elif ctx is not None:
+            span.parent_id = ctx.span_id
+            span.trace_id = ctx.trace_id
+        else:
+            span.parent_id = None
+            span.trace_id = sid
+        stack.append(span)
+        span.start_ns = perf_counter_ns()
         return span
 
     def span(self, name: str, **attrs) -> Span:
-        """Open a new span; use ``with tracer.span("stage"): ...``."""
-        return Span(self, name, **attrs)
+        """Start a span; ``with tracer.span("stage"): ...`` ends it."""
+        return self._open(name, None, **attrs)
 
     def span_in(self, name: str, ctx: TraceContext | None, **attrs) -> Span:
         """Open a span that joins ``ctx`` when no local span is active.
@@ -265,7 +260,7 @@ class Tracer:
         context, becoming a child of the originating write span.  With
         ``ctx=None`` this is exactly :meth:`span`.
         """
-        return Span(self, name, ctx, **attrs)
+        return self._open(name, ctx, **attrs)
 
     def fine_span(self, name: str, ctx: TraceContext | None = None, **attrs):
         """Open a sub-stage span; a real span only with ``detail=True``.
@@ -452,8 +447,11 @@ class NullSpan:
     def __enter__(self) -> "NullSpan":
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> bool:  # noqa: ARG002
+    def end(self, exc_type=None, exc=None, tb=None) -> bool:  # noqa: ARG002
+        """Nothing to stop (disabled tracing)."""
         return False
+
+    __exit__ = end
 
 
 NULL_SPAN = NullSpan()

@@ -26,7 +26,7 @@ import struct
 from typing import Union
 
 from repro.common.errors import CodecError
-from repro.parity.codecs import Buffer, Codec, _writable_view, get_codec
+from repro.parity.codecs import _REGISTRY, Buffer, Codec, get_codec
 from repro.parity.raw import RAW
 
 _HEADER = struct.Struct("<BI")
@@ -65,17 +65,24 @@ def decode_frame(frame: bytes) -> bytes:
 def _frame_target(
     frame: bytes, out: Union[bytearray, memoryview]
 ) -> tuple[Codec, bytes, memoryview]:
-    """Validate a frame against a writable target; return codec + payload."""
+    """Validate a frame against a writable target; return codec + payload.
+
+    Runs on every replica apply, so the target view and the codec lookup
+    are inlined rather than called.
+    """
     if len(frame) < _HEADER.size:
         raise CodecError(f"frame too short ({len(frame)} bytes)")
     codec_id, original_length = _HEADER.unpack_from(frame, 0)
-    view = _writable_view(out)
+    view = (out if isinstance(out, memoryview) else memoryview(out)).cast("B")
     if view.nbytes != original_length:
         raise CodecError(
             f"frame decodes to {original_length} bytes but the target "
             f"buffer holds {view.nbytes}"
         )
-    return get_codec(codec_id), frame[_HEADER.size :], view
+    codec = _REGISTRY.get(codec_id)
+    if codec is None:
+        codec = get_codec(codec_id)  # raises the unknown-codec error
+    return codec, frame[_HEADER.size :], view
 
 
 def decode_frame_into(frame: bytes, out: Union[bytearray, memoryview]) -> None:

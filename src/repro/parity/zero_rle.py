@@ -128,13 +128,28 @@ class ZeroRleCodec(Codec):
 
     @staticmethod
     def _assemble(view: memoryview, spans: list[tuple[int, int]]) -> bytes:
-        """Gather varint headers and zero-copy literal views in one join."""
+        """Gather varint headers and zero-copy literal views in one join.
+
+        Varints are looked up inline: one-byte ones (every gap and length
+        under 128) in ``_VARINT1``, longer ones in the memo that
+        :func:`_varint` fills, so only a value's first encoding calls it.
+        """
         parts: list[Buffer] = []
+        append = parts.append
+        cached = _VARINT_CACHE.get
         cursor = 0
         for s, e in spans:
-            parts.append(_varint(s - cursor))  # zeros since last literal
-            parts.append(_varint(e - s))
-            parts.append(view[s:e])
+            gap = s - cursor  # zeros since last literal
+            size = e - s
+            append(
+                _VARINT1[gap] if gap < 0x80 else cached(gap) or _varint(gap)
+            )
+            append(
+                _VARINT1[size]
+                if size < 0x80
+                else cached(size) or _varint(size)
+            )
+            append(view[s:e])
             cursor = e
         return b"".join(parts)
 
@@ -162,7 +177,10 @@ class ZeroRleCodec(Codec):
         spans = span_pairs(view, self._merge_gap)
         if len(spans) == 1:
             s, e = spans[0]
-            if len(_varint(s)) + len(_varint(e - s)) + e - s >= limit:
+            # a varint of v takes ceil(bit_length / 7) bytes, at least one
+            size = ((s.bit_length() + 6) // 7 or 1) + e - s
+            size += ((e - s).bit_length() + 6) // 7 or 1
+            if size >= limit:
                 return None
         payload = self._assemble(view, spans)
         return payload if len(payload) < limit else None
@@ -210,13 +228,17 @@ class ZeroRleCodec(Codec):
         Zero gaps of the delta are XOR identities, so with ``out`` holding
         ``A_old`` only the changed spans are ever read or written — the
         cost is proportional to the write's dirtiness, not the block size.
-        Single-byte varints (every gap and length under 128) are read
-        inline.  A literal under ``_NUMPY_CUTOFF`` bytes is XORed as two
+        One- and two-byte varints (every gap and length under 16 KiB)
+        are read inline; only longer ones call :func:`_read_varint`.  A
+        literal under ``_NUMPY_CUTOFF`` bytes is XORed as two
         ``int.from_bytes`` values, below numpy's per-call floor; longer
         ones take one in-place ufunc on numpy views of the target and
-        payload, made once per call.
+        payload, made once per call.  Every record is bounds-checked
+        before it is applied, so a payload that breaks off part-way
+        raises after applying exactly the records before the break, the
+        same ones on every call: applying it twice restores ``out``.
         """
-        view = _writable_view(out)
+        view = (out if isinstance(out, memoryview) else memoryview(out)).cast("B")
         original_length = view.nbytes
         payload_length = len(payload)
         from_bytes = int.from_bytes
@@ -225,13 +247,21 @@ class ZeroRleCodec(Codec):
         tv = pv = None
         while pos < payload_length:
             gap = payload[pos]
-            if gap & 0x80:
-                gap, pos = _read_varint(payload, pos)
-            else:
+            if not gap & 0x80:
                 pos += 1
-            if pos < payload_length and not payload[pos] & 0x80:
+            elif pos + 1 < payload_length and not payload[pos + 1] & 0x80:
+                gap = (gap & 0x7F) | (payload[pos + 1] << 7)
+                pos += 2
+            else:
+                gap, pos = _read_varint(payload, pos)
+            if pos >= payload_length:
+                lit_len, pos = _read_varint(payload, pos)  # raises: truncated
+            elif not payload[pos] & 0x80:
                 lit_len = payload[pos]
                 pos += 1
+            elif pos + 1 < payload_length and not payload[pos + 1] & 0x80:
+                lit_len = (payload[pos] & 0x7F) | (payload[pos + 1] << 7)
+                pos += 2
             else:
                 lit_len, pos = _read_varint(payload, pos)
             cursor += gap

@@ -22,6 +22,7 @@ from repro.iscsi import (
     transport_pair,
 )
 from repro.iscsi.pdu import BHS_SIZE, ScsiOp, Status
+from repro.iscsi import transport as transport_module
 from repro.iscsi.transport import FlakyTransport, TransportClosedError
 
 BS = 512
@@ -326,6 +327,61 @@ class TestBufferedFraming:
             receive(timeout=0.1)
         peer.sendall(raw[200:])
         assert receive() == pdu
+
+
+class TestKernelTimeouts:
+    """A receive timeout keeps the socket blocking: the kernel enforces it.
+
+    A Python-level socket timeout makes CPython ``poll()`` before every
+    ``sendall`` and ``recv_into``; with ``SO_RCVTIMEO`` / ``SO_SNDTIMEO``
+    the blocking call itself returns ``EAGAIN``, mapped to the same
+    ``TimeoutError``.
+    """
+
+    @pytest.fixture
+    def pair(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        transport = TcpTransport.connect(*listener.getsockname())
+        peer, _ = listener.accept()
+        yield transport, peer
+        transport.close()
+        peer.close()
+        listener.close()
+
+    @pytest.mark.skipif(
+        not transport_module._SOCKOPT_TIMEOUTS, reason="no SO_RCVTIMEO here"
+    )
+    def test_timeout_lives_in_the_socket_options(self, pair):
+        transport, peer = pair
+        with pytest.raises(TimeoutError):
+            transport.receive(timeout=0.05)
+        sock = transport._sock
+        assert sock.gettimeout() is None  # blocking: no poll() per call
+        timeval = sock.getsockopt(
+            socket.SOL_SOCKET, socket.SO_RCVTIMEO, transport_module._TIMEVAL.size
+        )
+        seconds, micros = transport_module._TIMEVAL.unpack(timeval)
+        # the kernel rounds to its clock tick
+        assert seconds + micros / 1e6 == pytest.approx(0.05, abs=0.01)
+        peer.sendall(_pdu(1, 10).pack())
+        assert transport.receive(timeout=0.05) == _pdu(1, 10)
+        # back to no timeout at all: options cleared, still blocking
+        peer.sendall(_pdu(2, 0).pack())
+        assert transport.receive() == _pdu(2, 0)
+        assert sock.gettimeout() is None
+        timeval = sock.getsockopt(
+            socket.SOL_SOCKET, socket.SO_RCVTIMEO, transport_module._TIMEVAL.size
+        )
+        assert transport_module._TIMEVAL.unpack(timeval) == (0, 0)
+
+    def test_settimeout_fallback_times_out_the_same(self, pair, monkeypatch):
+        monkeypatch.setattr(transport_module, "_SOCKOPT_TIMEOUTS", False)
+        transport, peer = pair
+        with pytest.raises(TimeoutError):
+            transport.receive(timeout=0.05)
+        assert transport._sock.gettimeout() == pytest.approx(0.05)
+        peer.sendall(_pdu(3, 5).pack())
+        assert transport.receive(timeout=0.05) == _pdu(3, 5)
 
 
 class TestTargetServerShutdown:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 
 import pytest
 
@@ -421,6 +423,78 @@ class TestThreadMode:
         engine.drain()
         engine.verify_traffic_conservation()
         engine.close()
+        for dev in reps:
+            assert dev.snapshot() == primary.snapshot()
+
+
+    def test_guarded_replicas_overlap_on_the_wire(self):
+        """Two guarded replicas whose links each block 50 ms per ship are
+        on the wire at once: no lock is held across a guarded round trip.
+        The shared ``resilience.ships_delivered`` counter and the ledger
+        still balance."""
+
+        class SlowLink(ReplicaLink):
+            def __init__(self, inner, spans):
+                self._inner = inner
+                self._spans = spans
+
+            def submit(self, work):
+                began = time.monotonic()
+                time.sleep(0.05)
+                self._spans.append((began, time.monotonic()))
+                return self._inner.submit(work)
+
+        spans: list[list[tuple[float, float]]] = [[], []]
+        telemetry = Telemetry()
+        engine, primary, reps = _stack(
+            replicas=2,
+            link_wrapper=lambda i, link: SlowLink(link, spans[i]),
+            resilience=ResilienceConfig(),
+            scheduler=SchedulerConfig(workers="threads", window=4),
+            telemetry=telemetry,
+        )
+        try:
+            for lba in range(4):
+                engine.write_block(lba, bytes([lba + 1]) * BS)
+            engine.drain()
+            outstanding = engine.verify_traffic_conservation()
+        finally:
+            engine.close()  # stops the channel worker threads
+        assert [len(s) for s in spans] == [4, 4]
+        assert any(
+            a0 < b1 and a1 < b0 for a0, b0 in spans[0] for a1, b1 in spans[1]
+        )
+        assert not any(outstanding.values())
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        assert counters["resilience.ships_delivered"] == 8
+        for dev in reps:
+            assert dev.snapshot() == primary.snapshot()
+
+
+    def test_shared_guard_counters_lose_no_update(self):
+        """Four guarded replicas submit on four worker threads at once,
+        switching every microsecond: the engine-wide counter they share
+        and every replica's ledger row still count every ship."""
+        telemetry = Telemetry()
+        engine, primary, reps = _stack(
+            replicas=4,
+            resilience=ResilienceConfig(),
+            scheduler=SchedulerConfig(workers="threads", window=4),
+            telemetry=telemetry,
+        )
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _random_writes(engine, count=40, seed=5)
+            engine.drain()
+            outstanding = engine.verify_traffic_conservation()
+        finally:
+            sys.setswitchinterval(old_interval)
+            engine.close()
+        shipped = engine.accountant.writes_replicated
+        counters = telemetry.snapshot()["metrics"]["counters"]
+        assert counters["resilience.ships_delivered"] == shipped
+        assert not any(outstanding.values())
         for dev in reps:
             assert dev.snapshot() == primary.snapshot()
 
