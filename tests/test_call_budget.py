@@ -42,17 +42,25 @@ def tpcc_stream() -> tuple[bytes, list[tuple[int, bytes]]]:
     return capture.base_image[: BLOCKS * BLOCK], stream
 
 
-def calls_per_write(config: ReplicationConfig, image: bytes, stream) -> float:
+def calls_per_write(
+    config: ReplicationConfig, image: bytes, stream, files: tuple[str, ...] = ()
+) -> float:
     """Python calls per write over ``stream`` after ``WARMUP`` writes.
 
-    Calls are counted per thread, so a thread switch inside the profile
-    hook cannot lose an increment.
+    With ``files`` (path endings such as ``"repro/obs/tracing.py"``) only
+    calls into functions defined in those files count.  Calls are counted
+    per thread, so a thread switch inside the profile hook cannot lose an
+    increment.
     """
     counts: Counter[int] = Counter()
     counting = False
 
     def profile(frame, event, arg):  # noqa: ARG001 - the profile protocol
         if counting and event == "call":
+            if files and not frame.f_code.co_filename.replace(
+                "\\", "/"
+            ).endswith(files):
+                return
             counts[threading.get_ident()] += 1
 
     threading.setprofile(profile)  # the threads the stack starts
@@ -95,3 +103,14 @@ def test_inline_two_replica_write_budget(tpcc_stream):
     """Two in-process replicas behind direct links, shipped in turn."""
     per_write = calls_per_write(_config(replicas=2), *tpcc_stream)
     assert per_write <= 56, f"{per_write:.1f} Python calls per write"
+
+
+def test_telemetry_off_makes_no_telemetry_call(tpcc_stream):
+    """Telemetry off, the write and apply paths open no span at all, not
+    even the shared no-op one."""
+    per_write = calls_per_write(
+        _config(transport="tcp"),
+        *tpcc_stream,
+        files=("repro/obs/tracing.py", "repro/obs/telemetry.py"),
+    )
+    assert per_write == 0
