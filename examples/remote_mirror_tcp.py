@@ -93,7 +93,7 @@ def main() -> None:
 
     # ---- failover: the primary "dies"; mount the replica image directly
     initiator.logout()
-    server.stop()
+    server.close()
     print("\nprimary lost — promoting the replica...")
     recovered_db = Database(replica_disk, pool_capacity=64)
     # (a production system would persist the catalog; here we re-read one

@@ -22,7 +22,13 @@ documentation file it verifies that
   linger in the docs;
 * every keyword of a ``ReplicationConfig(...)`` call, in inline code or
   a fenced block, names a current field of that dataclass (read from
-  ``src/repro/api.py``), so a removed config field cannot linger either.
+  ``src/repro/api.py``), so a removed config field cannot linger either;
+* every ``--flag`` of a command line that runs ``prins …``,
+  ``python -m bench …`` or ``scripts/<name>.py …``, in inline code or a
+  fenced block, is a flag that command's own parser adds (the string
+  literals of its ``add_argument`` calls: ``src/repro/cli.py``,
+  ``bench/cli.py`` or the script itself), so a removed CLI flag cannot
+  linger either.  Flags of other tools on the same line are not checked.
 
 Exit status is the number of broken references (0 == all good), so CI
 can gate on it directly::
@@ -73,6 +79,16 @@ _INLINE = re.compile(r"`([^`]+)`")
 #: the start of a ``ReplicationConfig(...)`` call, and one keyword in it.
 _CONFIG_CALL = re.compile(r"\bReplicationConfig\(")
 _KEYWORD = re.compile(r"\b([A-Za-z_][A-Za-z0-9_]*)\s*=(?!=)")
+
+#: a command whose flags are checked: ``prins`` (or ``python -m
+#: repro.cli``), ``python -m bench``, or a script under ``scripts/``.
+_COMMAND = re.compile(
+    r"(?<![^\s$(])(?:(prins|python3? -m repro\.cli)|python3? -m (bench)"
+    r"|(scripts/[A-Za-z0-9_]+\.py))(?=\s|$)"
+)
+_FLAG = re.compile(r"(?<![\w-])(--[A-Za-z][A-Za-z0-9-]*)")
+#: shell operators that end one command and may start another.
+_SHELL_BREAK = re.compile(r"\|\||&&|[|;]")
 
 #: markdown headings, for anchor validation.
 _HEADING = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
@@ -175,15 +191,18 @@ def config_fields() -> frozenset[str]:
     return frozenset()
 
 
+def code_snippets(text: str) -> list[str]:
+    """The fenced blocks of ``text``, then the inline code spans outside them."""
+    return _FENCE.findall(text) + _INLINE.findall(_FENCE.sub("", text))
+
+
 def config_keywords(text: str) -> Iterator[str]:
     """Keywords of every ``ReplicationConfig(...)`` call in ``text``'s code.
 
     Only the call's own keywords count: anything nested in brackets
     (``observability=ObservabilityConfig(enabled=True)``) is masked out.
     """
-    fenced = _FENCE.findall(text)
-    code = fenced + _INLINE.findall(_FENCE.sub("", text))
-    for snippet in code:
+    for snippet in code_snippets(text):
         for match in _CONFIG_CALL.finditer(snippet):
             depth, args = 1, []
             for char in snippet[match.end() :]:
@@ -193,6 +212,52 @@ def config_keywords(text: str) -> Iterator[str]:
                     break
                 args.append(char if depth == 1 else " ")
             yield from _KEYWORD.findall("".join(args))
+
+
+@lru_cache(maxsize=None)
+def parser_flags(path: Path) -> frozenset[str]:
+    """Every ``--flag`` string literal passed to ``add_argument`` in ``path``."""
+    flags = {"--help"}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+        ):
+            flags.update(
+                arg.value
+                for arg in node.args
+                if isinstance(arg, ast.Constant)
+                and isinstance(arg.value, str)
+                and arg.value.startswith("--")
+            )
+    return frozenset(flags)
+
+
+def unknown_flags(text: str) -> Iterator[tuple[str, str]]:
+    """``(command, flag)`` for each flag its command's parser does not add."""
+    lines = [
+        line
+        for snippet in code_snippets(text)
+        for line in snippet.replace("\\\n", " ").splitlines()
+    ]
+    for line in lines:
+        for segment in _SHELL_BREAK.split(line):
+            match = _COMMAND.search(segment)
+            if match is None:
+                continue
+            prins, bench, script = match.groups()
+            if prins:
+                source, name = REPO_ROOT / "src" / "repro" / "cli.py", "prins"
+            elif bench:
+                source, name = REPO_ROOT / "bench" / "cli.py", "python -m bench"
+            else:
+                source, name = REPO_ROOT / script, script
+            if not source.exists():
+                continue  # a missing script is reported as a code path
+            for flag in _FLAG.findall(segment[match.end() :]):
+                if flag not in parser_flags(source):
+                    yield name, flag
 
 
 def check_file(doc: Path) -> list[str]:
@@ -234,6 +299,9 @@ def check_file(doc: Path) -> list[str]:
     for keyword in config_keywords(text):
         if keyword not in config_fields():
             problems.append(f"{doc.name}: no ReplicationConfig field `{keyword}`")
+
+    for command, flag in unknown_flags(text):
+        problems.append(f"{doc.name}: `{command}` has no flag `{flag}`")
 
     return problems
 

@@ -32,10 +32,8 @@ from repro.api import (
 from repro.block import (
     BlockDevice,
     ChecksumDevice,
-    CountingDevice,
     FileBlockDevice,
     MemoryBlockDevice,
-    SparseBlockDevice,
 )
 from repro.cdp import ParityLog, RecoveryPoint, recover_block, recover_image
 from repro.engine import (
@@ -67,7 +65,6 @@ __all__ = [
     "Column",
     "ColumnType",
     "CompressedBlockStrategy",
-    "CountingDevice",
     "Database",
     "DirectLink",
     "FileBlockDevice",
@@ -90,7 +87,6 @@ __all__ = [
     "ReplicationConfig",
     "ReplicationNetworkModel",
     "Schema",
-    "SparseBlockDevice",
     "StrategyTraffic",
     "T1",
     "T3",

@@ -78,29 +78,6 @@ class ExperimentResult:
             "ok": all(c.within_tolerance for c in self.comparisons),
         }
 
-    def to_csv(self) -> str:
-        """Render the data rows as CSV (header row first).
-
-        Values are comma-escaped minimally (quotes around cells containing
-        commas); floats keep full precision for downstream plotting.
-        """
-
-        def cell(value: object) -> str:
-            text = repr(value) if isinstance(value, float) else str(value)
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            return text
-
-        lines = [",".join(cell(h) for h in self.headers)]
-        lines += [",".join(cell(v) for v in row) for row in self.rows]
-        return "\n".join(lines) + "\n"
-
-    def save_csv(self, path) -> None:
-        """Write :meth:`to_csv` output to ``path``."""
-        from pathlib import Path
-
-        Path(path).write_text(self.to_csv(), encoding="utf-8")
-
     def render(self) -> str:
         """Format the whole result for terminal output."""
         lines = [format_table(self.headers, self.rows, title=f"[{self.experiment_id}] {self.title}")]

@@ -32,7 +32,7 @@ from repro.engine.batch import (
     ShipBatcher,
 )
 from repro.engine.cluster import StorageCluster, VerifyReport
-from repro.engine.journal import JournalingLink, ReplicationJournal
+from repro.engine.journal import ReplicationJournal
 from repro.engine.links import DirectLink, InitiatorLink, ReplicaLink
 from repro.engine.messages import ReplicationRecord
 from repro.engine.primary import PrimaryEngine
@@ -87,7 +87,6 @@ __all__ = [
     "FlushResult",
     "GuardedLink",
     "InjectedLinkError",
-    "JournalingLink",
     "LatencyLink",
     "LinkHealth",
     "PartialReplicationError",

@@ -5,8 +5,9 @@ either buffer what the replica missed or re-run a full/digest sync when it
 returns.  :class:`ReplicationJournal` implements the cheap middle path the
 PRINS design makes natural: buffer the *encoded records* (tiny parity
 deltas, not blocks) per replica, bounded by bytes; replay them in order on
-reconnect.  If the journal overflowed while the replica was away, replay
-is refused and the caller falls back to
+reconnect.  It is :class:`~repro.engine.resilience.GuardedLink`'s
+backlog, the one catch-up mechanism.  If the journal overflowed while the
+replica was away, replay is refused and the caller falls back to
 :func:`repro.engine.sync.digest_sync` — the escalation ladder real
 mirroring products (and the paper's remote-mirroring references [11, 12])
 use.
@@ -138,56 +139,3 @@ class ReplicationJournal:
         self._bytes = 0
         self._overflowed = False
 
-
-class JournalingLink(ReplicaLink):
-    """A link wrapper that journals instead of failing while disconnected.
-
-    While :attr:`connected` is True, records pass straight through to the
-    inner link.  While False, they are journaled.  On :meth:`reconnect`,
-    the journal is replayed before new traffic resumes.
-    """
-
-    def __init__(
-        self, inner: ReplicaLink, journal: ReplicationJournal | None = None
-    ) -> None:
-        self._inner = inner
-        self.journal = journal if journal is not None else ReplicationJournal()
-        self._connected = True
-
-    @property
-    def connected(self) -> bool:
-        """Whether records currently flow to the replica."""
-        return self._connected
-
-    def disconnect(self) -> None:
-        """Simulate (or record) loss of the replica."""
-        self._connected = False
-
-    def reconnect(self) -> int:
-        """Replay the journal and resume passing traffic through.
-
-        Returns the number of records replayed; raises
-        :class:`JournalOverflowError` if a sync is required instead.
-        """
-        replayed = self.journal.replay(self._inner)
-        self._connected = True
-        return replayed
-
-    def _submit_record(self, lba: int, record: ReplicationRecord) -> bytes:
-        """Journal while disconnected, else ship through the inner link."""
-        if not self._connected:
-            self.journal.append(lba, record)
-            # A journaled record is acknowledged locally; the real ack
-            # arrives at replay time (idempotency makes this safe).
-            from repro.engine.replica import _ACK, ACK_APPLIED
-
-            return _ACK.pack(record.seq, ACK_APPLIED)
-        return self._inner.submit(ShipWork.for_record(lba, record))
-
-    def sync_device(self):
-        """Expose the inner link's replica device (for resync)."""
-        return self._inner.sync_device()
-
-    def close(self) -> None:
-        """Close the inner link."""
-        self._inner.close()

@@ -23,11 +23,7 @@ O(volume):
   strategy encodes the delta: a PRINS XOR parity delta, or a full block
   for non-delta strategies) submitted through the existing
   :class:`~repro.engine.work.ShipWork` protocol, so retries, circuit
-  breaking and ack CRC verification compose unchanged.  Blocks of
-  ``shingle_min_bytes`` or more additionally run a recursive
-  content-defined shingling pass (Song & Trachtenberg — see PAPERS.md)
-  that charges the piece-digest bytes a sub-block diff protocol would
-  exchange;
+  breaking and ack CRC verification compose unchanged;
 * **verification & resumability** — after a group's records are acked,
   a strong group digest is compared; only then is the group *verified*.
   Sketch false negatives (a dirty LBA whose bit flips cancel) fail this
@@ -82,20 +78,8 @@ from repro.engine.work import ShipWork
 GROUP_SKETCH_OVERHEAD = 8
 #: strong per-group digest exchanged to promote a group to *verified*
 GROUP_DIGEST_BYTES = 8
-#: per-piece cost of one shingling round: an 8-byte piece digest plus a
-#: 4-byte boundary offset (boundaries are content-defined, so the remote
-#: side cannot re-derive them without the data)
-SHINGLE_PIECE_BYTES = 12
 
 _KEY = struct.Struct("<QIQ")  # (lba, crc32, salt)
-
-#: gear table for content-defined chunking (deterministic, seed-free)
-_GEAR = tuple(
-    int.from_bytes(
-        hashlib.blake2b(bytes([i]), digest_size=8).digest(), "little"
-    )
-    for i in range(256)
-)
 _MASK64 = (1 << 64) - 1
 
 
@@ -118,15 +102,9 @@ class ReconcileConfig:
     sketch_bits_per_lba: int = 8
     #: identification/verification rounds before declaring a stall
     max_rounds: int = 4
-    #: blocks at least this large get the shingling sub-block diff pass
-    shingle_min_bytes: int = 64 * 1024
-    #: target content-defined piece size for the first shingling round
-    shingle_chunk_bytes: int = 4096
-    #: recursion floor: pieces at most this large are diffed directly
-    shingle_min_chunk_bytes: int = 512
 
     def __post_init__(self) -> None:
-        """Validate the group/sketch/shingle geometry."""
+        """Validate the group/sketch geometry."""
         if self.group_size < 1:
             raise ConfigurationError(
                 f"group_size must be >= 1, got {self.group_size}"
@@ -139,16 +117,6 @@ class ReconcileConfig:
         if self.max_rounds < 1:
             raise ConfigurationError(
                 f"max_rounds must be >= 1, got {self.max_rounds}"
-            )
-        if self.shingle_chunk_bytes & (self.shingle_chunk_bytes - 1):
-            raise ConfigurationError(
-                "shingle_chunk_bytes must be a power of two, "
-                f"got {self.shingle_chunk_bytes}"
-            )
-        if self.shingle_min_chunk_bytes < 1:
-            raise ConfigurationError(
-                "shingle_min_chunk_bytes must be >= 1, "
-                f"got {self.shingle_min_chunk_bytes}"
             )
 
 
@@ -167,9 +135,8 @@ class ReconcileReport:
     groups_resketched: int = 0  # verify failures sent back for re-sketch
     dirty_lbas_found: int = 0
     records_shipped: int = 0
-    subblock_diffs: int = 0  # large blocks that took the shingling pass
     sketch_bytes: int = 0  # parity bitmaps + framing
-    digest_bytes: int = 0  # candidate/group/piece digests
+    digest_bytes: int = 0  # candidate/group digests
     diff_bytes: int = 0  # encoded record payloads shipped
 
     @property
@@ -186,7 +153,6 @@ class ReconcileReport:
             "groups_resketched": self.groups_resketched,
             "dirty_lbas_found": self.dirty_lbas_found,
             "records_shipped": self.records_shipped,
-            "subblock_diffs": self.subblock_diffs,
             "sketch_bytes": self.sketch_bytes,
             "digest_bytes": self.digest_bytes,
             "diff_bytes": self.diff_bytes,
@@ -213,75 +179,6 @@ def _group_digest(crcs: dict[int, int], lo: int, hi: int) -> bytes:
     return hashlib.blake2b(packed, digest_size=8).digest()
 
 
-def shingle_boundaries(
-    data: bytes, avg_chunk: int, min_chunk: int
-) -> list[int]:
-    """Content-defined cut points of ``data`` (gear-hash chunking).
-
-    Returns offsets ``[0, ..., len(data)]`` such that a byte inserted in
-    one piece does not shift the boundaries of later pieces — the
-    property recursive shingling needs to localize edits.  ``avg_chunk``
-    (a power of two) sets the expected piece size; ``min_chunk`` floors
-    it so adversarial content cannot explode the piece count.
-    """
-    mask = avg_chunk - 1
-    cuts = [0]
-    h = 0
-    last = 0
-    for i, b in enumerate(data):
-        h = ((h << 1) + _GEAR[b]) & _MASK64
-        if (h & mask) == 0 and i + 1 - last >= min_chunk:
-            cuts.append(i + 1)
-            last = i + 1
-    if cuts[-1] != len(data):
-        cuts.append(len(data))
-    return cuts
-
-
-def shingle_diff_spans(
-    src: bytes, dst: bytes, config: ReconcileConfig
-) -> tuple[list[tuple[int, int]], int]:
-    """Locate the differing spans of a large block, recursively.
-
-    Implements the recursive hash-compare at the heart of
-    content-dependent shingling: cut ``src`` at content-defined
-    boundaries, compare piece digests against the same offsets of
-    ``dst``, and recurse into mismatched pieces with a smaller target
-    chunk until pieces reach the ``shingle_min_chunk_bytes`` floor.
-    Returns ``(spans, charged_bytes)`` where ``spans`` is a sorted list
-    of half-open ``(start, end)`` byte ranges covering every difference
-    and ``charged_bytes`` models the piece-digest traffic a real
-    exchange would ship (:data:`SHINGLE_PIECE_BYTES` per piece).
-    """
-    if len(src) != len(dst):
-        raise SyncError(
-            f"shingle diff needs equal-length blocks, got {len(src)} "
-            f"vs {len(dst)}"
-        )
-    spans: list[tuple[int, int]] = []
-    charged = 0
-
-    def _diff(lo: int, hi: int, chunk: int) -> None:
-        nonlocal charged
-        if src[lo:hi] == dst[lo:hi]:
-            return
-        if hi - lo <= config.shingle_min_chunk_bytes or chunk < (
-            2 * config.shingle_min_chunk_bytes
-        ):
-            spans.append((lo, hi))
-            return
-        cuts = shingle_boundaries(
-            src[lo:hi], chunk, config.shingle_min_chunk_bytes
-        )
-        charged += (len(cuts) - 1) * SHINGLE_PIECE_BYTES
-        for a, b in zip(cuts, cuts[1:]):
-            _diff(lo + a, lo + b, chunk // 4)
-
-    charged += SHINGLE_PIECE_BYTES  # whole-block digest, round zero
-    _diff(0, len(src), config.shingle_chunk_bytes)
-    return spans, charged
-
-
 class ResyncShipper:
     """Ships one divergent block through a guarded channel's link.
 
@@ -301,30 +198,20 @@ class ResyncShipper:
         record_builder: Callable[
             [int, bytes, bytes], ReplicationRecord | None
         ],
-        config: ReconcileConfig,
         report: ReconcileReport,
     ) -> None:
         self._link = link
         self._builder = record_builder
-        self._config = config
         self._report = report
 
     def ship(self, lba: int, src_block: bytes, dst_block: bytes) -> int:
         """Ship ``src_block`` for ``lba``; returns payload wire bytes.
 
         Returns 0 when the blocks already agree or the strategy elides
-        an all-zero delta.  Large blocks first run the shingling pass,
-        charging its piece-digest bytes to the session report.
+        an all-zero delta.
         """
         if src_block == dst_block:
             return 0
-        if len(src_block) >= self._config.shingle_min_bytes:
-            spans, hash_bytes = shingle_diff_spans(
-                src_block, dst_block, self._config
-            )
-            self._report.digest_bytes += hash_bytes
-            if spans:
-                self._report.subblock_diffs += 1
         record = self._builder(lba, src_block, dst_block)
         if record is None:
             return 0

@@ -1018,9 +1018,7 @@ class GuardedLink:
                 dirty=self._dirty or None,
             )
             self._reconcile_charged = (0, 0, 0)
-        shipper = ResyncShipper(
-            self.link, record_builder, session.config, session.report
-        )
+        shipper = ResyncShipper(self.link, record_builder, session.report)
         self.accountant.post(self.index, Flow.RECONCILE, 0)
         stalled = False
         with self._tel.span(

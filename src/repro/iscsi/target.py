@@ -359,10 +359,6 @@ class TargetServer:
         with self._lock:
             self._sessions = []
 
-    def stop(self) -> None:
-        """Alias for :meth:`close` (the historical name)."""
-        self.close()
-
     def __enter__(self) -> "TargetServer":
         return self.start()
 

@@ -5,7 +5,7 @@ and a :class:`~repro.obs.tracing.Tracer` behind one object, plus named
 *sources* — callbacks returning JSON-safe dicts that are evaluated lazily
 at :meth:`Telemetry.snapshot` time.  Sources are how the repo's existing
 accounting state (:class:`~repro.engine.accounting.TrafficAccountant`,
-:class:`~repro.block.stats.IoCounters`, per-link resilience health)
+per-link resilience health, cluster totals)
 surfaces through the telemetry API without duplicating any bookkeeping:
 the engine registers ``engine.<strategy>`` → ``accountant.snapshot`` once
 and every later snapshot reads live values.

@@ -108,13 +108,3 @@ def decode_frame_xor_into(
     codec, payload, view = _frame_target(frame, out)
     codec.decode_xor_into(payload, view)
 
-
-def best_frame(codecs: list[Codec], data: bytes) -> bytes:
-    """Encode ``data`` with every codec in ``codecs`` and keep the smallest.
-
-    A cheap form of the adaptive encoding real WAN optimizers use; exposed
-    for the codec ablation benchmark.
-    """
-    if not codecs:
-        raise ValueError("best_frame needs at least one codec")
-    return min((encode_frame(c, data) for c in codecs), key=len)

@@ -66,7 +66,6 @@ REPRO_EXPORTS = {
     "Column",
     "ColumnType",
     "CompressedBlockStrategy",
-    "CountingDevice",
     "Database",
     "DirectLink",
     "FileBlockDevice",
@@ -89,7 +88,6 @@ REPRO_EXPORTS = {
     "ReplicationConfig",
     "ReplicationNetworkModel",
     "Schema",
-    "SparseBlockDevice",
     "StrategyTraffic",
     "T1",
     "T3",
@@ -128,7 +126,6 @@ ENGINE_EXPORTS = {
     "GuardedLink",
     "InitiatorLink",
     "InjectedLinkError",
-    "JournalingLink",
     "LatencyLink",
     "LinkHealth",
     "PartialReplicationError",
@@ -171,13 +168,10 @@ ENGINE_EXPORTS = {
 BLOCK_EXPORTS = {
     "BlockDevice",
     "ChecksumDevice",
-    "CountingDevice",
     "FaultyDevice",
     "FileBlockDevice",
     "InjectedIoError",
-    "IoCounters",
     "MemoryBlockDevice",
-    "SparseBlockDevice",
 }
 
 

@@ -1,9 +1,10 @@
-"""Tests for the concrete block devices: memory, sparse, file."""
+"""Tests for the concrete block devices: memory and file."""
 
 from __future__ import annotations
 
 import random
 import sys
+import tempfile
 import threading
 import time
 import zlib
@@ -16,7 +17,6 @@ from repro.block import (
     FaultyDevice,
     FileBlockDevice,
     MemoryBlockDevice,
-    SparseBlockDevice,
 )
 from repro.common.errors import (
     BlockRangeError,
@@ -26,14 +26,16 @@ from repro.common.errors import DeviceClosedError
 
 
 DEVICE_FACTORIES = {
-    "memory": lambda bs, n: MemoryBlockDevice(bs, n),
-    "sparse": lambda bs, n: SparseBlockDevice(bs, n),
+    "memory": lambda path, bs, n: MemoryBlockDevice(bs, n),
+    "file": lambda path, bs, n: FileBlockDevice(path / "disk.img", bs, n),
 }
 
 
 @pytest.fixture(params=sorted(DEVICE_FACTORIES))
-def any_device(request):
-    return DEVICE_FACTORIES[request.param](512, 32)
+def any_device(request, tmp_path):
+    device = DEVICE_FACTORIES[request.param](tmp_path, 512, 32)
+    yield device
+    device.close()
 
 
 class TestBlockDeviceContract:
@@ -114,22 +116,6 @@ class TestMemoryDevice:
             dev.load(bytes(5))
 
 
-class TestSparseDevice:
-    def test_zero_write_frees_slot(self):
-        dev = SparseBlockDevice(512, 16)
-        dev.write_block(3, b"x" * 512)
-        assert dev.allocated_blocks == 1
-        dev.write_block(3, bytes(512))
-        assert dev.allocated_blocks == 0
-        assert dev.read_block(3) == bytes(512)
-
-    def test_written_lbas_sorted(self):
-        dev = SparseBlockDevice(512, 16)
-        for lba in (9, 2, 7):
-            dev.write_block(lba, b"y" * 512)
-        assert dev.written_lbas() == [2, 7, 9]
-
-
 class TestFileDevice:
     def test_persistence_across_reopen(self, tmp_path):
         path = tmp_path / "disk.img"
@@ -161,14 +147,15 @@ class TestPropertyRoundTrip:
         )
     )
     def test_devices_agree(self, writes):
-        """Memory and sparse devices behave identically under any write set."""
+        """Memory and file devices behave identically under any write set."""
         mem = MemoryBlockDevice(64, 16)
-        sparse = SparseBlockDevice(64, 16)
-        for lba, data in writes:
-            mem.write_block(lba, data)
-            sparse.write_block(lba, data)
-        for lba in range(16):
-            assert mem.read_block(lba) == sparse.read_block(lba)
+        with tempfile.TemporaryDirectory() as tmp:
+            with FileBlockDevice(f"{tmp}/disk.img", 64, 16) as disk:
+                for lba, data in writes:
+                    mem.write_block(lba, data)
+                    disk.write_block(lba, data)
+                for lba in range(16):
+                    assert mem.read_block(lba) == disk.read_block(lba)
 
 
 CRC_BS = 64
@@ -245,15 +232,12 @@ class TestBlockCrcTable:
             faulty.block_crc(0)
 
     def test_default_matches_on_devices_without_a_table(self, tmp_path):
-        for device in (
-            SparseBlockDevice(CRC_BS, CRC_BLOCKS),
-            FileBlockDevice(tmp_path / "d.img", CRC_BS, CRC_BLOCKS),
-        ):
-            device.write_block(3, b"c" * CRC_BS)
-            self._assert_exact(device)
-            device.close()
-            with pytest.raises(DeviceClosedError):
-                device.block_crc(3)
+        device = FileBlockDevice(tmp_path / "d.img", CRC_BS, CRC_BLOCKS)
+        device.write_block(3, b"c" * CRC_BS)
+        self._assert_exact(device)
+        device.close()
+        with pytest.raises(DeviceClosedError):
+            device.block_crc(3)
 
 
 class TestBlockCrcRaces:

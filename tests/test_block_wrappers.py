@@ -1,48 +1,11 @@
-"""Tests for the device wrappers: counting, checksum."""
+"""Tests for the checksum device wrapper."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.block import (
-    ChecksumDevice,
-    CountingDevice,
-    MemoryBlockDevice,
-)
+from repro.block import ChecksumDevice, MemoryBlockDevice
 from repro.block.verify import ChecksumMismatchError
-
-
-class TestCountingDevice:
-    def test_counts_reads_and_writes(self):
-        dev = CountingDevice(MemoryBlockDevice(512, 8))
-        dev.write_block(0, b"a" * 512)
-        dev.write_block(0, b"b" * 512)
-        dev.read_block(0)
-        c = dev.counters
-        assert c.writes == 2
-        assert c.reads == 1
-        assert c.bytes_written == 1024
-        assert c.bytes_read == 512
-        assert c.total_ops == 3
-
-    def test_unique_lbas(self):
-        dev = CountingDevice(MemoryBlockDevice(512, 8))
-        for lba in (0, 1, 0, 2):
-            dev.write_block(lba, bytes(512))
-        assert dev.counters.unique_lbas_written == {0, 1, 2}
-
-    def test_reset(self):
-        dev = CountingDevice(MemoryBlockDevice(512, 8))
-        dev.write_block(0, bytes(512))
-        dev.counters.reset()
-        assert dev.counters.writes == 0
-        assert dev.counters.unique_lbas_written == set()
-
-    def test_passthrough_contents(self):
-        inner = MemoryBlockDevice(512, 8)
-        dev = CountingDevice(inner)
-        dev.write_block(3, b"z" * 512)
-        assert inner.read_block(3) == b"z" * 512
 
 
 class TestChecksumDevice:

@@ -1,4 +1,4 @@
-"""``scripts/check_doc_links.py`` reports members and config fields that no longer exist."""
+"""``scripts/check_doc_links.py`` reports members, config fields and CLI flags that no longer exist."""
 
 from __future__ import annotations
 
@@ -42,3 +42,19 @@ def test_removed_config_field_is_reported(tmp_path):
     assert problems == [
         "doc.md: no ReplicationConfig field `replicas_per_node`"
     ]
+
+
+def test_unknown_cli_flag_is_reported(tmp_path):
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "Run `prins demo --batch-window 16 --json s.json`, then\n\n"
+        "```console\n"
+        "$ prins demo --shards 4\n"
+        "$ python3 -m bench run tpcc.tcp --trace \\\n"
+        "    --seconds 2 && PYTHONPATH=src python -m pytest benchmarks \\\n"
+        "    --benchmark-disable\n"
+        "$ PYTHONPATH=src python scripts/bench_resync.py --smoke --max-ratio 0.1\n"
+        "```\n"
+    )
+    problems = _checker().check_file(doc)
+    assert problems == ["doc.md: `prins` has no flag `--shards`"]

@@ -20,11 +20,12 @@ BLOCK_SIZE = 512
 
 
 class CountingDevice(MemoryBlockDevice):
-    """Memory device that counts block reads (both read paths)."""
+    """Memory device that counts block reads and writes (both paths each)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.reads = 0
+        self.writes = 0
 
     def _read(self, lba):
         self.reads += 1
@@ -33,6 +34,14 @@ class CountingDevice(MemoryBlockDevice):
     def read_block_into(self, lba, out):
         self.reads += 1
         super().read_block_into(lba, out)
+
+    def _write(self, lba, data):
+        self.writes += 1
+        super()._write(lba, data)
+
+    def write_block_from(self, lba, buf):
+        self.writes += 1
+        super().write_block_from(lba, buf)
 
 
 def _engine(

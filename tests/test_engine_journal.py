@@ -1,36 +1,20 @@
-"""Tests for catch-up journaling of disconnected replicas."""
+"""Tests for the catch-up journal a guarded link keeps for its replica."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.block import MemoryBlockDevice
+from repro import ReplicationConfig, open_primary
 from repro.engine import (
     DirectLink,
-    JournalingLink,
-    PrimaryEngine,
-    ReplicaEngine,
     ReplicationJournal,
     ReplicationRecord,
-    digest_sync,
-    make_strategy,
     verify_consistency,
 )
 from repro.engine.journal import JournalOverflowError
 
 BS = 512
 N = 16
-
-
-def _stack(strategy_name="prins", journal=None):
-    strategy = make_strategy(strategy_name)
-    primary = MemoryBlockDevice(BS, N)
-    replica = MemoryBlockDevice(BS, N)
-    link = JournalingLink(
-        DirectLink(ReplicaEngine(replica, strategy)), journal
-    )
-    engine = PrimaryEngine(primary, strategy, [link])
-    return engine, primary, replica, link
 
 
 class TestReplicationJournal:
@@ -68,63 +52,29 @@ class TestReplicationJournal:
             ReplicationJournal(capacity_bytes=0)
 
 
-class TestJournalingLink:
-    def test_connected_passthrough(self):
-        engine, primary, replica, _link = _stack()
-        engine.write_block(0, b"a" * BS)
-        assert replica.read_block(0) == b"a" * BS
-
-    def test_disconnect_journal_reconnect_replay(self):
-        engine, primary, replica, link = _stack()
-        engine.write_block(0, b"a" * BS)
-        link.disconnect()
-        engine.write_block(1, b"b" * BS)
-        engine.write_block(0, b"c" * BS)
-        engine.write_block(0, b"d" * BS)  # multiple deltas on one block
-        assert replica.read_block(1) == bytes(BS)  # replica lagging
-        replayed = link.reconnect()
-        assert replayed == 3
-        assert verify_consistency(primary, replica) == []
-
-    def test_prins_deltas_replay_in_order(self, rng):
-        """Out-of-order XOR deltas would corrupt; order must be preserved."""
-        engine, primary, replica, link = _stack("prins")
-        engine.write_block(3, rng.integers(0, 256, BS, dtype="u1").tobytes())
-        link.disconnect()
-        for _ in range(10):  # chained partial overwrites of one block
-            block = bytearray(engine.read_block(3))
-            start = int(rng.integers(0, BS - 30))
-            block[start : start + 30] = rng.integers(0, 256, 30, dtype="u1").tobytes()
-            engine.write_block(3, bytes(block))
-        link.reconnect()
-        assert verify_consistency(primary, replica) == []
-
-    def test_overflow_falls_back_to_digest_sync(self):
-        journal = ReplicationJournal(capacity_bytes=200)
-        engine, primary, replica, link = _stack("prins", journal=journal)
-        link.disconnect()
-        for lba in range(N):
-            engine.write_block(lba, bytes([lba + 1]) * BS)  # overflow journal
-        assert journal.overflowed
-        with pytest.raises(JournalOverflowError):
-            link.reconnect()
-        # escalation path: digest sync repairs the replica
-        report = digest_sync(primary, replica)
-        assert report.blocks_copied == N
-        assert verify_consistency(primary, replica) == []
-        journal.clear()
-
+class TestGuardedBacklog:
     def test_journal_stores_deltas_not_blocks(self, rng):
         """The PRINS advantage extends to the catch-up buffer."""
-        journal = ReplicationJournal(capacity_bytes=10**9)
-        engine, primary, replica, link = _stack("prins", journal=journal)
-        for lba in range(N):
-            engine.write_block(lba, rng.integers(0, 256, BS, dtype="u1").tobytes())
-        link.disconnect()
-        for lba in range(N):  # small edits while away
-            block = bytearray(engine.read_block(lba))
-            block[10:20] = b"\x42" * 10
-            engine.write_block(lba, bytes(block))
-        assert journal.stored_bytes < N * BS / 4
-        link.reconnect()
-        assert verify_consistency(primary, replica) == []
+        config = ReplicationConfig(
+            block_size=BS, num_blocks=N, resilient=True,
+            backlog_capacity_bytes=10**9,
+        )
+        with open_primary(config) as stack:
+            engine = stack.engine
+            for lba in range(N):
+                engine.write_block(
+                    lba, rng.integers(0, 256, BS, dtype="u1").tobytes()
+                )
+            replica = stack.replica_devices[0]
+            assert verify_consistency(stack.device, replica) == []
+            engine.fail_link(0)
+            for lba in range(N):  # small edits while away
+                block = bytearray(engine.read_block(lba))
+                block[10:20] = b"\x42" * 10
+                engine.write_block(lba, bytes(block))
+            backlog = engine.guards[0].backlog
+            assert backlog.entry_count == N
+            assert backlog.stored_bytes < N * BS / 4
+            outcome = engine.heal_link(0)
+            assert outcome.mode == "replay"
+            assert verify_consistency(stack.device, replica) == []

@@ -9,16 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.block import CountingDevice, MemoryBlockDevice
+from repro.block import MemoryBlockDevice
 from repro.common.errors import StorageError
 from repro.fs import FileSystem, tar_paths
 
 BS = 1024
 
 
-def make_fs(blocks=1024, inodes=128, counting=False):
-    inner = MemoryBlockDevice(BS, blocks)
-    device = CountingDevice(inner) if counting else inner
+def make_fs(blocks=1024, inodes=128):
+    device = MemoryBlockDevice(BS, blocks)
     return FileSystem.format(device, inode_count=inodes), device
 
 
@@ -144,12 +143,12 @@ class TestMetadataWriteLocality:
     def test_partial_rewrite_touches_fewer_blocks(self):
         """Rewriting a file with identical content produces identical
         blocks — the property that makes PRINS shine on re-tars."""
-        fs, device = make_fs(counting=True)
+        fs, device = make_fs()
         payload = b"stable content " * 500
         fs.write_file("f", payload)
-        image_before = device.inner.snapshot()
+        image_before = device.snapshot()
         fs.write_file("f", payload)  # identical rewrite
-        assert device.inner.snapshot() == image_before
+        assert device.snapshot() == image_before
 
 
 class TestTar:

@@ -393,13 +393,15 @@ class TestTargetServerShutdown:
         device = MemoryBlockDevice(BS, 8)
         server = TargetServer(device).start()
         host, port = server.address
-        initiator = Initiator(TcpTransport.connect(host, port), timeout=5)
+        transport = TcpTransport.connect(host, port)
+        initiator = Initiator(transport, timeout=5)
         initiator.login()  # session thread now blocked awaiting the next PDU
         assert server.session_count == 1
         start = time.monotonic()
         server.close(timeout=5.0)
         assert time.monotonic() - start < 5.0
         assert server.session_count == 0
+        transport.close()  # the half-open session was the point; free its socket
 
     def test_close_refuses_new_sessions(self):
         device = MemoryBlockDevice(BS, 8)
@@ -415,7 +417,7 @@ class TestTargetServerShutdown:
         server = TargetServer(MemoryBlockDevice(BS, 8)).start()
         server.close()
         server.close()
-        server.stop()  # historical alias still works
+        assert server.session_count == 0
 
 
 class TestStaleResponseDrain:

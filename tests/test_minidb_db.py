@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.block import CountingDevice, MemoryBlockDevice
+from repro.block import MemoryBlockDevice
 from repro.common.errors import ConfigurationError, StorageError
 from repro.minidb import Column, ColumnType, Database, Schema
+from tests.test_engine_hotpath import CountingDevice
 
 
 def make_db(blocks=512, counting=False):
-    inner = MemoryBlockDevice(1024, blocks)
-    device = CountingDevice(inner) if counting else inner
+    device = (CountingDevice if counting else MemoryBlockDevice)(1024, blocks)
     return Database(device, pool_capacity=16), device
 
 
@@ -58,9 +58,9 @@ class TestDatabase:
         db, device = make_db(counting=True)
         table = db.create_table("people", people_schema(), key="id")
         table.insert((1, "ada", 10.0))
-        before = device.counters.writes
+        before = device.writes
         assert db.commit() > 0
-        assert device.counters.writes > before
+        assert device.writes > before
 
     def test_non_int_key_rejected(self):
         db, _ = make_db()

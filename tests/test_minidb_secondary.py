@@ -117,25 +117,3 @@ class TestSecondaryIndex:
         assert index.remove("x", 100)
         assert index.lookup("x") == []
 
-
-class TestCsvExport:
-    def test_to_csv(self):
-        from repro.analysis import ExperimentResult
-
-        result = ExperimentResult("f", "t", ["a", "b,c"])
-        result.add_row(1, "x,y")
-        result.add_row(2.5, "plain")
-        csv = result.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == 'a,"b,c"'
-        assert lines[1] == '1,"x,y"'
-        assert lines[2] == "2.5,plain"
-
-    def test_save_csv(self, tmp_path):
-        from repro.analysis import ExperimentResult
-
-        result = ExperimentResult("f", "t", ["v"])
-        result.add_row(42)
-        path = tmp_path / "out.csv"
-        result.save_csv(path)
-        assert path.read_text() == "v\n42\n"

@@ -6,19 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.block import CountingDevice, MemoryBlockDevice
+from repro.block import MemoryBlockDevice
 from repro.common.errors import StorageError
 from repro.minidb import BTree, BufferPool, HeapFile
 from repro.minidb.btree import _Node
 from repro.minidb.heap import Rid
 from repro.minidb.page import SlottedPage
+from tests.test_engine_hotpath import CountingDevice
 
 BS = 512
 
 
 def make_pool(capacity=8, blocks=128, counting=False):
-    inner = MemoryBlockDevice(BS, blocks)
-    device = CountingDevice(inner) if counting else inner
+    device = (CountingDevice if counting else MemoryBlockDevice)(BS, blocks)
     pool = BufferPool(device, capacity=capacity)
     counter = iter(range(blocks))
     return pool, device, lambda: next(counter)
@@ -43,9 +43,9 @@ class TestBufferPool:
         page = pool.new_page(page_id)
         page.insert(b"data")
         pool.mark_dirty(page_id)
-        writes_before = device.counters.writes
+        writes_before = device.writes
         assert pool.flush() == 1
-        assert device.counters.writes == writes_before + 1
+        assert device.writes == writes_before + 1
         assert pool.dirty_count == 0
 
     def test_flush_idempotent(self):
@@ -55,7 +55,7 @@ class TestBufferPool:
         assert pool.flush() == 0
 
     def test_eviction_writes_back_dirty_page(self):
-        pool, device, alloc = make_pool(capacity=2, counting=True)
+        pool, device, alloc = make_pool(capacity=2)
         first = alloc()
         page = pool.new_page(first)
         page.insert(b"persisted")

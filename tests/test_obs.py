@@ -2,7 +2,7 @@
 
 Covers registry semantics, log2-histogram bucketing, span nesting and
 ring-buffer bounds, the null-telemetry fast path, exporter formats, the
-Ethernet wire model edge cases, accountant/IoCounters integration, and
+Ethernet wire model edge cases, accountant integration, and
 the instrumented engine write path end-to-end (including the CLI
 ``demo --json`` acceptance path).
 """
@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro.block.memory import MemoryBlockDevice
-from repro.block.stats import CountingDevice, IoCounters
 from repro.engine.accounting import Flow, TrafficAccountant, ethernet_wire_bytes
 from repro.engine.links import DirectLink
 from repro.engine.primary import PrimaryEngine
@@ -417,7 +416,7 @@ class TestEthernetWireBytes:
 
 
 # ---------------------------------------------------------------------------
-# accountant histogram + keep_raw, IoCounters cap
+# accountant histogram + keep_raw
 # ---------------------------------------------------------------------------
 
 
@@ -460,47 +459,6 @@ class TestAccountantBounds:
         acct.reset()
         assert acct.payload_histogram.count == 0
         assert acct.per_write_payloads == []
-
-
-class TestIoCountersCap:
-    def test_uncapped_tracks_all(self):
-        counters = IoCounters()
-        for lba in range(100):
-            counters.note_lba_written(lba)
-        assert counters.unique_lbas == 100
-        assert not counters.unique_lbas_overflowed
-
-    def test_cap_bounds_cardinality(self):
-        counters = IoCounters(max_unique_lbas=10)
-        for lba in range(100):
-            counters.note_lba_written(lba)
-        assert counters.unique_lbas == 10
-        assert counters.unique_lbas_overflowed
-        counters.note_lba_written(5)  # already a member: no overflow churn
-        assert counters.unique_lbas == 10
-
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            IoCounters(max_unique_lbas=0)
-
-    def test_reset_clears_overflow(self):
-        counters = IoCounters(max_unique_lbas=1)
-        counters.note_lba_written(1)
-        counters.note_lba_written(2)
-        assert counters.unique_lbas_overflowed
-        counters.reset()
-        assert not counters.unique_lbas_overflowed
-        assert counters.unique_lbas == 0
-
-    def test_counting_device_registers_source(self):
-        tel = Telemetry()
-        device = CountingDevice(
-            MemoryBlockDevice(512, 8), max_unique_lbas=4, telemetry=tel, name="d0"
-        )
-        device.write_block(0, bytes(512))
-        snap = tel.snapshot()
-        assert snap["sources"]["io.d0"]["writes"] == 1
-        assert snap["sources"]["io.d0"]["unique_lbas"] == 1
 
 
 # ---------------------------------------------------------------------------

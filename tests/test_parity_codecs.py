@@ -23,7 +23,7 @@ from repro.parity import (
     forward_parity,
     get_codec,
 )
-from repro.parity.frame import FRAME_OVERHEAD, best_frame
+from repro.parity.frame import FRAME_OVERHEAD
 
 ALL_CODECS = [RawCodec(), ZeroRleCodec(), ZlibCodec(), SparseSegmentCodec(), PipelineCodec()]
 
@@ -164,19 +164,6 @@ class TestFrame:
     def test_too_short(self):
         with pytest.raises(CodecError):
             decode_frame(b"\x00")
-
-    def test_best_frame_picks_smallest(self):
-        sparse = bytes(4000) + b"\x01" + bytes(4191)
-        best = best_frame([RawCodec(), ZeroRleCodec()], sparse)
-        assert len(best) < 100  # RLE must have won
-
-    def test_best_frame_decodes(self):
-        data = b"\x07" * 999
-        assert decode_frame(best_frame(ALL_CODECS, data)) == data
-
-    def test_best_frame_empty_codecs(self):
-        with pytest.raises(ValueError):
-            best_frame([], b"x")
 
 
 class TestSparseSegmentMerging:

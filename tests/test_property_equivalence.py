@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.block import MemoryBlockDevice
 from repro.engine import (
     DirectLink,
-    JournalingLink,
     PrimaryEngine,
     PrinsStrategy,
     ReplicaEngine,
@@ -95,42 +94,6 @@ def test_raid_backed_primary_equals_flat_primary(writes, raid_cls):
         flat_engine.accountant.payload_bytes
         == raid_engine.accountant.payload_bytes
     )
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    writes=write_lists,
-    disconnect_at=st.integers(0, 39),
-    reconnect_after=st.integers(0, 39),
-)
-def test_journaled_outage_equals_always_connected(
-    writes, disconnect_at, reconnect_after
-):
-    """A disconnect/replay cycle must be invisible in the final image."""
-    strategy = make_strategy("prins")
-    steady_primary = MemoryBlockDevice(BS, N)
-    steady_replica = MemoryBlockDevice(BS, N)
-    steady_engine = PrimaryEngine(
-        steady_primary, strategy,
-        [DirectLink(ReplicaEngine(steady_replica, strategy))],
-    )
-    flaky_primary = MemoryBlockDevice(BS, N)
-    flaky_replica = MemoryBlockDevice(BS, N)
-    link = JournalingLink(DirectLink(ReplicaEngine(flaky_replica, strategy)))
-    flaky_engine = PrimaryEngine(flaky_primary, strategy, [link])
-
-    down_at = min(disconnect_at, len(writes))
-    up_at = min(down_at + reconnect_after, len(writes))
-    for index, (lba, data) in enumerate(writes):
-        if index == down_at:
-            link.disconnect()
-        if index == up_at and not link.connected:
-            link.reconnect()
-        steady_engine.write_block(lba, data)
-        flaky_engine.write_block(lba, data)
-    if not link.connected:
-        link.reconnect()
-    assert _image(flaky_replica) == _image(steady_replica)
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,8 +3,7 @@
 Covers the three layers in isolation from the heal ladder: sketch
 identification exactness (including the false-negative → re-sketch round
 path and the stall fallback signal), content shipping through the
-ShipWork protocol with sub-block shingling for large blocks, and the
-resumable per-group state machine (invalidate, resume-after-fault).
+ShipWork protocol (large blocks included), and the resumable per-group state machine (invalidate, resume-after-fault).
 Integration with GuardedLink.heal() lives in test_resilience.py.
 """
 
@@ -25,13 +24,10 @@ from repro.engine import (
 )
 from repro.engine.messages import ReplicationRecord
 from repro.engine.reconcile import (
-    SHINGLE_PIECE_BYTES,
     ReconcileConfig,
     ReconcileSession,
     ReconcileStalledError,
     ResyncShipper,
-    shingle_boundaries,
-    shingle_diff_spans,
 )
 
 BS = 512
@@ -58,7 +54,7 @@ def _dirty(device, lbas, seed: int = 11):
         )
 
 
-def _shipper(dst, report, config=None, strategy_name="prins", link_wrap=None):
+def _shipper(dst, report, strategy_name="prins", link_wrap=None):
     """A ResyncShipper wired to a real replica engine over dst."""
     strategy = make_strategy(strategy_name)
     replica = ReplicaEngine(dst, strategy)
@@ -74,7 +70,7 @@ def _shipper(dst, report, config=None, strategy_name="prins", link_wrap=None):
         seq[0] += 1
         return ReplicationRecord.for_block(seq[0], new, frame)
 
-    return ResyncShipper(link, builder, config or ReconcileConfig(), report), link
+    return ResyncShipper(link, builder, report), link
 
 
 class TestReconcileConfig:
@@ -89,8 +85,6 @@ class TestReconcileConfig:
             {"group_size": 0},
             {"sketch_bits_per_lba": 0},
             {"max_rounds": 0},
-            {"shingle_chunk_bytes": 3000},  # not a power of two
-            {"shingle_min_chunk_bytes": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -255,57 +249,10 @@ class TestResumability:
         assert session.report.dirty_lbas_found >= len(dirty)
 
 
-class TestShingling:
-    def test_boundaries_are_deterministic_and_floored(self):
-        data = make_rng(5, "shingle").integers(
-            0, 256, 64 * 1024, dtype="u1"
-        ).tobytes()
-        cuts = shingle_boundaries(data, 4096, 512)
-        assert cuts == shingle_boundaries(data, 4096, 512)
-        assert cuts[0] == 0 and cuts[-1] == len(data)
-        assert all(b - a >= 512 for a, b in zip(cuts, cuts[1:-1]))
-
-    def test_boundaries_localize_edits(self):
-        """Content-defined cuts: editing the tail leaves prefix cuts alone."""
-        data = bytearray(
-            make_rng(6, "shingle").integers(
-                0, 256, 64 * 1024, dtype="u1"
-            ).tobytes()
-        )
-        before = shingle_boundaries(bytes(data), 4096, 512)
-        data[-100:] = b"\x00" * 100
-        after = shingle_boundaries(bytes(data), 4096, 512)
-        prefix = [c for c in before if c < len(data) - 4096 * 2]
-        assert after[: len(prefix)] == prefix
-
-    def test_diff_spans_cover_every_difference(self):
-        rng = make_rng(8, "spans")
-        src = bytearray(rng.integers(0, 256, 128 * 1024, dtype="u1").tobytes())
-        dst = bytes(src)
-        src[100:140] = b"\xff" * 40
-        src[70000:70008] = b"\xee" * 8
-        spans, charged = shingle_diff_spans(
-            bytes(src), dst, ReconcileConfig()
-        )
-        for i, (a, b) in enumerate(zip(bytes(src), dst)):
-            if a != b:
-                assert any(lo <= i < hi for lo, hi in spans), i
-        # two point edits in 128 KiB: the hash exchange is tiny next to
-        # the block, and the located spans are tight around the edits
-        assert charged < len(src) // 8
-        assert sum(hi - lo for lo, hi in spans) < len(src) // 8
-
-    def test_equal_blocks_charge_one_digest(self):
-        data = b"\xab" * (64 * 1024)
-        spans, charged = shingle_diff_spans(data, data, ReconcileConfig())
-        assert spans == []
-        assert charged == SHINGLE_PIECE_BYTES
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(SyncError, match="equal-length"):
-            shingle_diff_spans(b"ab", b"abc", ReconcileConfig())
-
-    def test_large_blocks_take_the_shingle_pass(self):
+class TestLargeBlocks:
+    def test_large_block_costs_the_digests_of_a_small_one(self):
+        """A 64 KiB block heals as one record, and identifying it costs the
+        same candidate and group digests as a 512 B block."""
         big = 64 * 1024
         src, dst = _devices(num_blocks=4, block_size=big)
         data = bytearray(src.read_block(2))
@@ -315,16 +262,15 @@ class TestShingling:
         shipper, _ = _shipper(dst, session.report)
         report = session.run(src, dst, shipper)
         assert session.complete
-        assert report.subblock_diffs == 1
+        assert report.records_shipped == 1
         assert verify_consistency(src, dst) == []
 
-    def test_small_blocks_skip_the_shingle_pass(self):
-        src, dst = _devices(num_blocks=8)
-        _dirty(src, [1])
-        session = ReconcileSession(8, BS)
-        shipper, _ = _shipper(dst, session.report)
-        report = session.run(src, dst, shipper)
-        assert report.subblock_diffs == 0
+        small_src, small_dst = _devices(num_blocks=4)
+        _dirty(small_src, [2])
+        small = ReconcileSession(4, BS)
+        small_shipper, _ = _shipper(small_dst, small.report)
+        small.run(small_src, small_dst, small_shipper)
+        assert report.digest_bytes == small.report.digest_bytes
 
 
 class TestReport:

@@ -1372,7 +1372,7 @@ def _full_session_diff_bytes(source: bytes, dest: bytes) -> int:
 
     session = ReconcileSession(PROP_BLOCKS, PROP_BS, PROP_RECONCILE)
     link = DirectLink(ReplicaEngine(dst, strategy))
-    shipper = ResyncShipper(link, builder, PROP_RECONCILE, session.report)
+    shipper = ResyncShipper(link, builder, session.report)
     session.run(src, dst, shipper)
     assert dst.snapshot() == source
     return session.report.diff_bytes
