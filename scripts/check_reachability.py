@@ -15,21 +15,20 @@ them called, with its line count, and checks that list against
 ``scripts/reachability_allowlist.txt``.  Exit status 1 when
 
 * an unreached function is not on the list (new dead code), or
-* a listed function no longer exists (the list shrinks as code goes),
+* a listed function no longer exists (the list shrinks as code goes:
+  delete the lines the ``GONE`` report names),
 
 or when an entry point itself fails.  A listed function that was reached
-is only reported: a path that runs on timing alone (a retry after a
-timeout, say) must not make the check flaky.  Entries tagged ``worker``
-are functions that ran only in a forked worker process.
+is only reported, so a function that some runs reach and others miss (a
+path taken on timing or on the CPU count) is listed and cannot make the
+check flaky.  Entries tagged ``worker`` are functions that ran only in a
+forked worker process.
 
 Usage::
 
-    PYTHONPATH=src python scripts/check_reachability.py           # check
-    PYTHONPATH=src python scripts/check_reachability.py --write   # rewrite the list
-    PYTHONPATH=src python scripts/check_reachability.py --only examples,demo
+    PYTHONPATH=src python scripts/check_reachability.py
 
-``--only`` runs a subset of the entry points and prints what they leave
-unreached without checking the list.  A full run takes several minutes.
+A full run takes several minutes.
 """
 
 from __future__ import annotations
@@ -177,7 +176,12 @@ def _prins_all(tmp: Path) -> None:
 
 
 def _demo(tmp: Path) -> None:
-    """The command lines of README's quick start and of ``prins --help``."""
+    """A fixed list of ``prins`` command lines, one or more per subcommand.
+
+    The list is not read from the docs.  A subcommand that no line here
+    runs leaves its functions unreached, so the check fails until the
+    subcommand gets a line here (or its functions a line in the list).
+    """
     from repro.api import ReplicationConfig
 
     snap, prtr, cfg = tmp / "s.json", tmp / "t.prtr", tmp / "cfg.json"
@@ -253,8 +257,8 @@ ENTRY_POINTS: dict[str, Callable[[Path], None]] = {
 }
 
 
-def run_entry_points(names: list[str]) -> tuple[set, set, list[str]]:
-    """Run ``names``; returns (keys seen here, keys seen in workers, errors)."""
+def run_entry_points() -> tuple[set, set, list[str]]:
+    """Run them all; returns (keys seen here, keys seen in workers, errors)."""
     errors: list[str] = []
     os.chdir(REPO_ROOT)
     with tempfile.TemporaryDirectory(prefix="reachability-") as scratch:
@@ -262,13 +266,13 @@ def run_entry_points(names: list[str]) -> tuple[set, set, list[str]]:
         spool = tmp / "workers"
         spool.mkdir()
         _follow_forked_workers(spool)
-        for name in names:
+        for name, entry_point in ENTRY_POINTS.items():
             began = time.monotonic()
             threading.setprofile(_profile)
             sys.setprofile(_profile)
             try:
                 with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-                    ENTRY_POINTS[name](tmp)
+                    entry_point(tmp)
             except Exception as exc:  # noqa: BLE001 - reported, then fails
                 traceback.print_exc()
                 errors.append(f"{name}: {type(exc).__name__}: {exc}")
@@ -298,21 +302,6 @@ def read_allowlist() -> dict[str, str]:
     return entries
 
 
-def write_allowlist(unreached: dict[str, tuple[int, bool]]) -> None:
-    lines = [
-        "# Functions under src/repro that no entry point of",
-        "# scripts/check_reachability.py calls.  One per line:",
-        "#   module:Qualified.name [worker]",
-        "# 'worker' marks a function that ran only in a forked worker process.",
-        "# Delete a line when its function is deleted or gains an entry point;",
-        "# the check fails on a listed function that no longer exists.",
-    ]
-    for name in sorted(unreached):
-        worker = unreached[name][1]
-        lines.append(f"{name} {WORKER_TAG}" if worker else name)
-    ALLOWLIST.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def compare(
     index: dict[tuple[str, int], tuple[str, int]],
     unreached: dict[str, tuple[int, bool]],
@@ -338,26 +327,11 @@ def compare(
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the probe; returns the exit status."""
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument(
-        "--only",
-        default=None,
-        metavar="NAMES",
-        help=f"comma-separated subset of {','.join(ENTRY_POINTS)}; no check",
-    )
-    parser.add_argument(
-        "--write", action="store_true", help="rewrite the allowlist from this run"
-    )
-    args = parser.parse_args(argv)
-    names = args.only.split(",") if args.only else list(ENTRY_POINTS)
-    unknown = set(names) - set(ENTRY_POINTS)
-    if unknown:
-        parser.error(f"unknown entry points: {', '.join(sorted(unknown))}")
-
+    """Run every entry point and check the list; returns the exit status."""
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     sys.path.insert(0, str(SRC))
     index = function_index()
-    here, workers, errors = run_entry_points(names)
+    here, workers, errors = run_entry_points()
 
     #: name -> (line count, ran in a worker)
     unreached = {
@@ -374,17 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     for error in errors:
         print(f"FAILED  entry point {error}")
-    if args.only:
-        for name, (lines, worker) in sorted(unreached.items()):
-            print(f"{lines:5d}  {name}{'  [worker]' if worker else ''}")
-        return 1 if errors else 0
-    if args.write:
-        if errors:
-            print("not rewriting the allowlist: an entry point failed")
-            return 1
-        write_allowlist(unreached)
-        print(f"wrote {len(unreached)} entries to {ALLOWLIST.relative_to(REPO_ROOT)}")
-        return 0
 
     found = compare(index, unreached, read_allowlist())
     for name in found["new"]:
