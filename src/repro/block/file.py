@@ -12,8 +12,8 @@ class FileBlockDevice(BlockDevice):
     """A block device stored in a regular file.
 
     The file is created (sparse, where the OS supports it) at full capacity
-    on open.  This device backs long-running experiments whose images should
-    survive the process, and the examples that demonstrate failover.
+    on open.  Use it where an image should survive the process; the
+    examples, experiments and bench run on :class:`MemoryBlockDevice`.
     """
 
     def __init__(self, path: str | Path, block_size: int, num_blocks: int) -> None:

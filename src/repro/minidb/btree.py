@@ -13,6 +13,9 @@ buffer pool, so the pool's LRU order and every byte written back are the
 same as if each read decoded the page afresh.  Cached nodes are shared, so
 code that changes a node works on a :meth:`_Node.copy` and writes it back.
 
+A leaf keeps its entries packed beside its lists, and every change to them
+splices both, so writing a leaf back packs only the entry that changed.
+
 Node wire format::
 
     uint8   is_leaf
@@ -36,18 +39,25 @@ from repro.minidb.heap import Rid
 _HEADER = struct.Struct("<BHq")
 _LEAF_ENTRY = struct.Struct("<qIH")
 _KEY = struct.Struct("<q")
-_CHILD = struct.Struct("<I")
 
 
 @dataclass
 class _Node:
-    """In-memory form of one B-tree node."""
+    """In-memory form of one B-tree node.
+
+    A leaf also carries ``packed``, its entries already in wire form, so
+    :meth:`to_bytes` is the header plus that body.  Change a leaf's entries
+    only through :meth:`insert_entry`, :meth:`set_rid`, :meth:`pop_entry`
+    and :meth:`split_off`, which splice ``keys``, ``rids`` and ``packed``
+    alike.
+    """
 
     is_leaf: bool
     next_leaf: int = -1
     keys: list[int] = field(default_factory=list)
     rids: list[Rid] = field(default_factory=list)  # leaves only
     children: list[int] = field(default_factory=list)  # internal only
+    packed: bytearray = field(default_factory=bytearray)  # leaves only
 
     def copy(self) -> "_Node":
         """A node whose lists can change without touching this one."""
@@ -57,41 +67,79 @@ class _Node:
             self.keys.copy(),
             self.rids.copy(),
             self.children.copy(),
+            self.packed.copy(),
         )
 
-    def to_bytes(self) -> bytes:
-        out = bytearray(
-            _HEADER.pack(1 if self.is_leaf else 0, len(self.keys), self.next_leaf)
+    def insert_entry(self, index: int, key: int, rid: Rid) -> None:
+        """Insert leaf entry ``key → rid`` at ``index``."""
+        self.keys.insert(index, key)
+        self.rids.insert(index, rid)
+        at = index * _LEAF_ENTRY.size
+        self.packed[at:at] = _LEAF_ENTRY.pack(key, rid.page_id, rid.slot)
+
+    def set_rid(self, index: int, rid: Rid) -> None:
+        """Point leaf entry ``index`` at ``rid``."""
+        self.rids[index] = rid
+        _LEAF_ENTRY.pack_into(
+            self.packed,
+            index * _LEAF_ENTRY.size,
+            self.keys[index],
+            rid.page_id,
+            rid.slot,
         )
+
+    def pop_entry(self, index: int) -> None:
+        """Remove leaf entry ``index``."""
+        del self.keys[index], self.rids[index]
+        at = index * _LEAF_ENTRY.size
+        del self.packed[at : at + _LEAF_ENTRY.size]
+
+    def split_off(self, middle: int) -> "_Node":
+        """Move leaf entries from ``middle`` on into a new right sibling."""
+        at = middle * _LEAF_ENTRY.size
+        right = _Node(
+            is_leaf=True,
+            next_leaf=self.next_leaf,
+            keys=self.keys[middle:],
+            rids=self.rids[middle:],
+            packed=self.packed[at:],
+        )
+        del self.keys[middle:], self.rids[middle:], self.packed[at:]
+        return right
+
+    def to_bytes(self) -> bytes:
+        count = len(self.keys)
         if self.is_leaf:
-            for key, rid in zip(self.keys, self.rids):
-                out += _LEAF_ENTRY.pack(key, rid.page_id, rid.slot)
-        else:
-            for key in self.keys:
-                out += _KEY.pack(key)
-            for child in self.children:
-                out += _CHILD.pack(child)
-        return bytes(out)
+            return _HEADER.pack(1, count, self.next_leaf) + self.packed
+        return (
+            _HEADER.pack(0, count, self.next_leaf)
+            + struct.pack(f"<{count}q", *self.keys)
+            + struct.pack(f"<{count + 1}I", *self.children)
+        )
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "_Node":
         is_leaf, count, next_leaf = _HEADER.unpack_from(raw, 0)
         pos = _HEADER.size
-        node = cls(is_leaf=bool(is_leaf), next_leaf=next_leaf)
-        if node.is_leaf:
-            for _ in range(count):
-                key, page_id, slot = _LEAF_ENTRY.unpack_from(raw, pos)
-                pos += _LEAF_ENTRY.size
-                node.keys.append(key)
-                node.rids.append(Rid(page_id, slot))
-        else:
-            for _ in range(count):
-                node.keys.append(_KEY.unpack_from(raw, pos)[0])
-                pos += _KEY.size
-            for _ in range(count + 1):
-                node.children.append(_CHILD.unpack_from(raw, pos)[0])
-                pos += _CHILD.size
-        return node
+        if is_leaf:
+            packed = bytearray(raw[pos : pos + count * _LEAF_ENTRY.size])
+            entries = list(_LEAF_ENTRY.iter_unpack(packed))
+            return cls(
+                is_leaf=True,
+                next_leaf=next_leaf,
+                keys=[key for key, _, _ in entries],
+                rids=[Rid(page_id, slot) for _, page_id, slot in entries],
+                packed=packed,
+            )
+        keys = struct.unpack_from(f"<{count}q", raw, pos)
+        pos += count * _KEY.size
+        children = struct.unpack_from(f"<{count + 1}I", raw, pos)
+        return cls(
+            is_leaf=False,
+            next_leaf=next_leaf,
+            keys=list(keys),
+            children=list(children),
+        )
 
 
 class BTree:
@@ -216,11 +264,10 @@ class BTree:
             node = node.copy()
             index = _lower_bound(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
-                node.rids[index] = rid  # overwrite existing mapping
+                node.set_rid(index, rid)  # overwrite existing mapping
                 self._write_node(page_id, node)
                 return None
-            node.keys.insert(index, key)
-            node.rids.insert(index, rid)
+            node.insert_entry(index, key, rid)
             self._size += 1
         else:
             child_index = _upper_bound(node.keys, key)
@@ -240,16 +287,9 @@ class BTree:
         """Split ``node``, a private copy that is not yet in the cache."""
         middle = len(node.keys) // 2
         if node.is_leaf:
-            right = _Node(
-                is_leaf=True,
-                next_leaf=node.next_leaf,
-                keys=node.keys[middle:],
-                rids=node.rids[middle:],
-            )
+            right = node.split_off(middle)
             separator = right.keys[0]
             right_id = self._new_node_page(right)
-            node.keys = node.keys[:middle]
-            node.rids = node.rids[:middle]
             node.next_leaf = right_id
         else:
             separator = node.keys[middle]
@@ -274,8 +314,7 @@ class BTree:
         if index >= len(node.keys) or node.keys[index] != key:
             return False
         node = node.copy()
-        node.keys.pop(index)
-        node.rids.pop(index)
+        node.pop_entry(index)
         self._write_node(page_id, node)
         self._size -= 1
         return True

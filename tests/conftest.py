@@ -8,6 +8,8 @@ import pytest
 
 from repro.block import MemoryBlockDevice
 from repro.common.rng import make_rng
+from repro.experiments.harness import capture_tpcc_trace
+from repro.workloads.tpcc import TpccConfig
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -60,6 +62,19 @@ def random_block(rng):
 def make_block(rng, size=BLOCK_SIZE):
     """Helper: random block of ``size`` bytes."""
     return rng.integers(0, 256, size, dtype="u1").tobytes()
+
+
+@pytest.fixture(scope="session")
+def tpcc_pages() -> tuple[bytes, list[tuple[int, bytes]]]:
+    """A seeded TPC-C page-write trace on 8 KiB pages and its 64-block image."""
+    capture = capture_tpcc_trace(
+        8192,
+        TpccConfig(warehouses=1, customers_per_district=10, items=100, seed=7),
+        transactions=40,
+    )
+    writes = capture.trace.writes
+    assert max(lba for lba, _ in writes) < 64
+    return capture.base_image[: 64 * 8192], writes
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ReplicationConfig, open_primary
 from repro.block import MemoryBlockDevice
 from repro.cdp import ParityLog, RecoveryPoint, recover_image
 from repro.cdp.parity_log import CdpDevice
@@ -24,6 +25,7 @@ from repro.engine import (
 )
 from repro.fs import FileSystem, tar_paths
 from repro.iscsi import Initiator, TargetServer, TcpTransport
+from repro.iscsi.pdu import BHS_SIZE
 from repro.minidb import Column, ColumnType, Database, Schema
 from repro.raid import Raid5Array
 from repro.workloads import TpccConfig, TpccWorkload
@@ -129,6 +131,35 @@ class TestTpccOverTcpIscsi:
             data = engine.accountant.data_bytes
             assert 0 < wire < data  # PRINS moved less than the data written
             initiator.logout()
+
+    @pytest.mark.parametrize("strategy", ["prins", "traditional", "compressed"])
+    @pytest.mark.parametrize(
+        "shape",
+        [{}, {"batch_records": 16}, {"replicas": 2}],
+        ids=["unbatched", "batch16", "replicas2"],
+    )
+    def test_write_ledger_matches_the_socket(self, tpcc_pages, strategy, shape):
+        """The accountant's PDU bytes are exactly what the sockets sent.
+
+        Each session sends one header-only login PDU before its first write;
+        every later byte on the wire is a replication PDU the ledger charged.
+        """
+        image, writes = tpcc_pages
+        config = ReplicationConfig(
+            strategy=strategy,
+            block_size=8192,
+            num_blocks=64,
+            transport="tcp",
+            **shape,
+        )
+        with open_primary(config, initial_image=image) as stack:
+            for lba, data in writes:
+                stack.engine.write_block(lba, data)
+            stack.drain()
+            sent = sum(link.initiator.transport.bytes_sent for link in stack.links)
+            charged = stack.engine.accountant.pdu_bytes
+            assert stack.verify()
+        assert charged + BHS_SIZE * len(stack.links) == sent
 
 
 class TestFilesystemOverCompressed:

@@ -50,8 +50,7 @@ from repro.engine.reconcile import (
     ReconcileSession,
     ResyncShipper,
 )
-from repro.engine.replica import ACK_APPLIED, ACK_DUPLICATE
-from repro.engine.resilience import GuardedLink
+from repro.engine.replica import ACK_DUPLICATE
 from repro.iscsi.transport import (
     FlakyTransport,
     InjectedTransportError,
