@@ -7,7 +7,7 @@ filesystem all read and write fixed-size blocks through the
 
 Concrete devices:
 
-* :class:`~repro.block.memory.MemoryBlockDevice` — one contiguous, OS-zeroed image.
+* :class:`~repro.block.memory.MemoryBlockDevice` — one contiguous bytearray.
 * :class:`~repro.block.file.FileBlockDevice` — backed by a file on disk.
 
 Wrappers (each is itself a :class:`BlockDevice`):

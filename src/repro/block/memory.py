@@ -1,4 +1,4 @@
-"""In-memory block device backed by one contiguous, OS-zeroed image."""
+"""In-memory block device backed by one contiguous bytearray."""
 
 from __future__ import annotations
 
@@ -6,25 +6,16 @@ import threading
 import zlib
 from typing import Callable
 
-import numpy
-
 from repro.block.device import BlockDevice
 from repro.common.errors import BlockSizeError
 
 
 class MemoryBlockDevice(BlockDevice):
-    """A block device whose entire contents live in one contiguous image.
+    """A block device whose entire contents live in a single bytearray.
 
     This is the default substrate for tests and traffic experiments: reads
     and writes are exact and instantaneous, and the full image can be
     snapshotted with :meth:`snapshot` for consistency checks.
-
-    The image is memory the OS zeroes on first touch (``numpy.zeros``
-    takes it from ``calloc``), so a device costs nothing per page until a
-    page is written.  Each page's first write pays that touch instead.  A
-    stack opened without an image pays it on the write path, the first
-    time each page is written; one opened with an image pays it for every
-    page in :meth:`load` (the replicas in ``full_sync``), before any write.
 
     It also keeps a lazily filled per-LBA CRC table for :meth:`block_crc`.
     Every mutator clears the entries it overwrites, or sets them to the
@@ -36,7 +27,8 @@ class MemoryBlockDevice(BlockDevice):
 
     def __init__(self, block_size: int, num_blocks: int) -> None:
         super().__init__(block_size, num_blocks)
-        self._view = memoryview(numpy.zeros(block_size * num_blocks, numpy.uint8))
+        self._data = bytearray(block_size * num_blocks)
+        self._view = memoryview(self._data)
         self._crcs: list[int | None] = [None] * num_blocks
         self._crc_lock = threading.Lock()
 
@@ -46,7 +38,7 @@ class MemoryBlockDevice(BlockDevice):
             return self._view[offset : offset + self._block_size].tobytes()
 
     def read_block_into(self, lba: int, out) -> None:
-        """Copy block ``lba`` straight from the backing image into ``out``.
+        """Copy block ``lba`` straight from the backing bytearray into ``out``.
 
         Overrides the base implementation to skip the intermediate
         ``bytes`` object — one slice-assign from the contiguous image.
@@ -63,11 +55,11 @@ class MemoryBlockDevice(BlockDevice):
     def _write(self, lba: int, data: bytes) -> None:
         offset = lba * self._block_size
         with self._crc_lock:
-            self._view[offset : offset + self._block_size] = data
+            self._data[offset : offset + self._block_size] = data
             self._crcs[lba] = None
 
     def write_block_from(self, lba: int, buf) -> None:
-        """Copy a scratch buffer straight into the backing image.
+        """Copy a scratch buffer straight into the backing bytearray.
 
         Overrides the base implementation to skip the intermediate
         ``bytes`` snapshot — the contiguous image copies from any buffer
@@ -80,7 +72,7 @@ class MemoryBlockDevice(BlockDevice):
             raise BlockSizeError(self._block_size, view.nbytes)
         offset = lba * self._block_size
         with self._crc_lock:
-            self._view[offset : offset + self._block_size] = view
+            self._data[offset : offset + self._block_size] = view
             self._crcs[lba] = None
 
     def xor_in_place(
@@ -134,7 +126,7 @@ class MemoryBlockDevice(BlockDevice):
         """CRC-32 of block ``lba``, hashed at most once per write.
 
         The first call after a write hashes the block straight from the
-        backing image; later calls return the cached value.
+        backing bytearray; later calls return the cached value.
         """
         if self._closed or not 0 <= lba < self._num_blocks:
             self._check_lba(lba)
@@ -150,7 +142,7 @@ class MemoryBlockDevice(BlockDevice):
 
     def snapshot(self) -> bytes:
         """Return an immutable copy of the whole device image."""
-        return self._view.tobytes()
+        return bytes(self._data)
 
     def load(self, image: bytes) -> None:
         """Replace the whole device image (must match capacity exactly)."""
@@ -159,5 +151,5 @@ class MemoryBlockDevice(BlockDevice):
                 f"image is {len(image)} bytes, device holds {self.capacity_bytes}"
             )
         with self._crc_lock:
-            self._view[:] = image
+            self._data[:] = image
             self._crcs = [None] * self._num_blocks
